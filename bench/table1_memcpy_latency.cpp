@@ -26,21 +26,30 @@
 
 namespace {
 
+// Allocates every chunk so successive copies hit random addresses across
+// the whole 80 MB region (defeats cache residency, as the paper's
+// random-address reads do). Each chunk is written once here: the pool
+// commits pages on first touch, so an untouched region would time page
+// faults on writes and the kernel's shared zero page on reads.
+std::vector<nk::shm::chunk_ref> touch_all_chunks(nk::shm::hugepage_pool& pool) {
+  std::vector<nk::shm::chunk_ref> chunks;
+  while (true) {
+    auto c = pool.alloc();
+    if (!c.ok()) break;
+    auto span = pool.writable(c.value());
+    std::memset(span.value().data(), 0xa5, span.value().size());
+    chunks.push_back(c.value());
+  }
+  return chunks;
+}
+
 void copy_into_pool(benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(0));
   nk::shm::hugepage_config cfg;
   cfg.chunk_size = 8 * 1024;
   nk::shm::hugepage_pool pool{1, cfg};
 
-  // Pre-allocate a spread of chunks so successive copies hit random
-  // addresses across the whole 80 MB region (defeats cache residency, as
-  // the paper's random-address reads do).
-  std::vector<nk::shm::chunk_ref> chunks;
-  while (true) {
-    auto c = pool.alloc();
-    if (!c.ok()) break;
-    chunks.push_back(c.value());
-  }
+  const auto chunks = touch_all_chunks(pool);
   std::vector<std::byte> src(size, std::byte{0x5a});
   nk::rng rng{42};
 
@@ -60,12 +69,7 @@ void copy_from_pool(benchmark::State& state) {
   nk::shm::hugepage_config cfg;
   cfg.chunk_size = 8 * 1024;
   nk::shm::hugepage_pool pool{1, cfg};
-  std::vector<nk::shm::chunk_ref> chunks;
-  while (true) {
-    auto c = pool.alloc();
-    if (!c.ok()) break;
-    chunks.push_back(c.value());
-  }
+  const auto chunks = touch_all_chunks(pool);
   std::vector<std::byte> dst(size);
   nk::rng rng{43};
 
@@ -90,12 +94,7 @@ void snapshot_distributions() {
   nk::shm::hugepage_config cfg;
   cfg.chunk_size = 8 * 1024;
   nk::shm::hugepage_pool pool{1, cfg};
-  std::vector<nk::shm::chunk_ref> chunks;
-  while (true) {
-    auto c = pool.alloc();
-    if (!c.ok()) break;
-    chunks.push_back(c.value());
-  }
+  const auto chunks = touch_all_chunks(pool);
   nk::rng rng{44};
 
   constexpr int iterations = 20000;

@@ -1,12 +1,26 @@
 #include "shm/hugepage_pool.hpp"
 
+#include <new>
+
 namespace nk::shm {
+namespace {
+
+// calloc, not make_unique: a large calloc is served from fresh anonymous
+// mappings without a memset, so pages are committed only when first written
+// while still reading as zero before that.
+std::byte* zeroed_region(std::size_t bytes) {
+  auto* p = static_cast<std::byte*>(std::calloc(bytes, 1));
+  if (p == nullptr) throw std::bad_alloc{};
+  return p;
+}
+
+}  // namespace
 
 hugepage_pool::hugepage_pool(std::uint32_t key, const hugepage_config& cfg)
     : key_{key},
       cfg_{cfg},
       chunk_count_{cfg.page_size * cfg.page_count / cfg.chunk_size},
-      region_{std::make_unique<std::byte[]>(cfg.page_size * cfg.page_count)},
+      region_{zeroed_region(cfg.page_size * cfg.page_count)},
       allocated_(chunk_count_, false) {
   free_.reserve(chunk_count_);
   // Hand out low indices first: makes allocation order deterministic.
@@ -52,7 +66,10 @@ result<std::span<std::byte>> hugepage_pool::writable(chunk_ref ref) {
 result<std::span<const std::byte>> hugepage_pool::readable(
     const data_descriptor& desc) const {
   if (auto s = validate(desc.chunk); !s) return s.error();
-  if (desc.offset + desc.length > cfg_.chunk_size) {
+  // Written so it cannot wrap: offset + length overflows uint32_t for a
+  // forged offset near 4 GiB.
+  if (desc.length > cfg_.chunk_size ||
+      desc.offset > cfg_.chunk_size - desc.length) {
     return errc::invalid_argument;
   }
   return std::span<const std::byte>{

@@ -5,10 +5,16 @@
 // application payload into and reference from nqes via data descriptors.
 // Each VM↔NSM pair gets a pool with a unique key; descriptors minted by a
 // different pool are rejected, which is the isolation property of §3.1.
+//
+// Like the hypervisor-mapped region, the pool commits memory on first
+// touch: `page_count` caps address space, and resident memory follows the
+// high-water mark of chunks written. A never-written byte reads 0, never
+// another tenant's stale data — zero-fill is part of the isolation contract.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <span>
 #include <vector>
@@ -68,10 +74,14 @@ class hugepage_pool {
  private:
   [[nodiscard]] status validate(chunk_ref ref) const;
 
+  struct free_deleter {
+    void operator()(std::byte* p) const { std::free(p); }
+  };
+
   std::uint32_t key_;
   hugepage_config cfg_;
   std::size_t chunk_count_;
-  std::unique_ptr<std::byte[]> region_;
+  std::unique_ptr<std::byte[], free_deleter> region_;
   std::vector<std::uint32_t> free_;
   std::vector<bool> allocated_;
   bool exhausted_ = false;

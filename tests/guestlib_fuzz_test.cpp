@@ -10,11 +10,13 @@
 // accounting, leak nothing, and keep serving well-behaved tenants.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "apps/scenario.hpp"
 #include "common/rng.hpp"
 #include "core/hostile.hpp"
+#include "shm/steering.hpp"
 
 namespace nk::core {
 namespace {
@@ -186,6 +188,37 @@ struct raw_ring_rig {
     }
   }
 
+  // Connects a fresh target socket to a listener on the peer (which accepts
+  // everything); returns the target's fd once the connect completes.
+  std::optional<std::uint32_t> connect_to_peer(std::uint16_t port) {
+    auto& gp = *peer.glib;
+    const auto lfd = gp.nk_socket().value();
+    if (!gp.nk_bind(lfd, port).ok() || !gp.nk_listen(lfd).ok()) return {};
+    gp.set_event_handler([&gp, lfd](std::uint32_t fd,
+                                    stack::socket_event_type t, errc) {
+      if (fd == lfd && t == stack::socket_event_type::accept_ready) {
+        while (gp.nk_accept(lfd).ok()) {
+        }
+      }
+    });
+    auto& glib = *target.glib;
+    const auto cfd = glib.nk_socket().value();
+    bool connected = false;
+    glib.set_event_handler([&](std::uint32_t fd, stack::socket_event_type t,
+                               errc) {
+      if (fd == cfd && t == stack::socket_event_type::connected) {
+        connected = true;
+      }
+    });
+    if (!glib.nk_connect(cfd, {peer.module->config().address, port}).ok()) {
+      return {};
+    }
+    bed.run_for(milliseconds(100));
+    glib.set_event_handler(nullptr);
+    if (!connected) return {};
+    return cfd;
+  }
+
   apps::testbed_params params;
   testbed bed;
   apps::nk_tenant target;
@@ -267,30 +300,7 @@ TEST_P(raw_ring_fuzz, random_garbage_nqes_never_crash_or_leak) {
 
   // The engine still serves clean tenants: a fresh legit connect from the
   // abused VM's own GuestLib completes against the peer's listener.
-  auto& gp = *rig.peer.glib;
-  const auto lfd = gp.nk_socket().value();
-  ASSERT_TRUE(gp.nk_bind(lfd, 7100).ok());
-  ASSERT_TRUE(gp.nk_listen(lfd).ok());
-  gp.set_event_handler([&](std::uint32_t fd, stack::socket_event_type t,
-                           errc) {
-    if (fd == lfd && t == stack::socket_event_type::accept_ready) {
-      while (gp.nk_accept(lfd).ok()) {
-      }
-    }
-  });
-  auto& glib = *rig.target.glib;
-  const auto cfd = glib.nk_socket().value();
-  bool connected = false;
-  glib.set_event_handler([&](std::uint32_t fd, stack::socket_event_type t,
-                             errc) {
-    if (fd == cfd && t == stack::socket_event_type::connected) {
-      connected = true;
-    }
-  });
-  ASSERT_TRUE(
-      glib.nk_connect(cfd, {rig.peer.module->config().address, 7100}).ok());
-  rig.bed.run_for(milliseconds(100));
-  EXPECT_TRUE(connected);
+  EXPECT_TRUE(rig.connect_to_peer(7100).has_value());
 }
 
 INSTANTIATE_TEST_SUITE_P(seeds, raw_ring_fuzz,
@@ -367,6 +377,48 @@ TEST(raw_ring_stat_refresh, refresh_flood_beyond_budget_rejected) {
   rig.bed.run_for(milliseconds(20));
   EXPECT_EQ(ch->stats.version(), version_before + 2 * (burst + 1));
   EXPECT_EQ(rig.rejected_total(), extra);  // no new rejections
+}
+
+// --- raw_ring: wrapping descriptor bounds (DESIGN.md §14) -------------------
+
+// A req_send on a connected flow over the VM's own pool, naming a live
+// chunk, whose offset + length wraps uint32_t: a wrapping bound check would
+// admit it and have ServiceLib copy from 4 GiB past the chunk. It must die
+// at the firewall as badchunk, with the per-shard drop identity exact and
+// the pinned chunk left to its owner (never recycled by the rejection).
+TEST(raw_ring_desc_bounds, wrapping_offset_rejected_as_badchunk) {
+  raw_ring_rig rig{13};
+  auto* ch = rig.engine().channel_of(rig.target.vm->id());
+  ASSERT_NE(ch, nullptr);
+  const auto fd = rig.connect_to_peer(7200);
+  ASSERT_TRUE(fd.has_value());
+
+  auto chunk = ch->pool.alloc();
+  ASSERT_TRUE(chunk.ok());
+  const shm::data_descriptor wrapping{chunk.value(), 0xFFFFF000u, 0x2000u};
+  EXPECT_EQ(ch->pool.readable(wrapping).error(), errc::invalid_argument);
+
+  // On the lane that owns the flow, as GuestLib would steer a real send.
+  const std::uint32_t vm = rig.target.vm->id();
+  const std::size_t lane = shm::flow_shard(vm, *fd, ch->shards());
+  shm::nqe e;
+  e.op = shm::nqe_op::req_send;
+  e.owner = static_cast<std::uint16_t>(vm);
+  e.handle = *fd;
+  e.desc = wrapping;
+  const std::uint64_t rejected_before = rig.rejected_total();
+  ASSERT_TRUE(ch->vm_q(lane).job.push(e));
+  rig.engine().notify_from_vm(vm, lane);
+  rig.bed.run_for(milliseconds(20));
+
+  EXPECT_EQ(rig.rejected_total() - rejected_before, 1u);
+  EXPECT_EQ(rig.engine().shard_rejected_reasons(
+                lane)[static_cast<std::size_t>(reject_reason::badchunk)],
+            1u);
+  // The rejection did not free the chunk the forgery named; its owner does.
+  EXPECT_TRUE(ch->pool.free(chunk.value()).ok());
+  rig.expect_invariants();
+  EXPECT_FALSE(rig.engine().quarantined(vm));
 }
 
 }  // namespace
