@@ -25,11 +25,8 @@ struct outcome {
   double deferred = 0;     // staged anywhere in the pipeline, both hosts
   double dropped = 0;      // discarded at the overflow cap, both hosts
   double unroutable = 0;   // arrived for a torn-down mapping, both hosts
-  double rejected = 0;     // refused by the admission firewall, both hosts
   double traced_drops = 0; // what the tracer saw vanish, both hosts
-  double untraced = 0;     // discards of never-traced nqes, both hosts
-  std::size_t chunks_total = 0;
-  std::size_t chunks_free = 0;
+  core::audit_report books;  // chunk + drop accounting, both hosts
 };
 
 outcome run(std::size_t depth, std::uint64_t seed) {
@@ -77,14 +74,8 @@ outcome run(std::size_t depth, std::uint64_t seed) {
     out.deferred += m.value_of("engine_nqes_deferred").value_or(0.0);
     out.dropped += m.value_of("engine_nqes_dropped").value_or(0.0);
     out.unroutable += m.value_of("engine_unroutable_nqes").value_or(0.0);
-    out.rejected += m.value_of("engine_nqes_rejected").value_or(0.0);
     out.traced_drops += m.value_of("nqe_traces_dropped").value_or(0.0);
-    out.untraced += m.value_of("engine_discards_untraced").value_or(0.0);
-    for (const auto vm : ce->attached_vms()) {
-      auto* ch = ce->channel_of(vm);
-      out.chunks_total += ch->pool.chunk_count();
-      out.chunks_free += ch->pool.chunks_free();
-    }
+    out.books += ce->audit();
   }
   return out;
 }
@@ -104,24 +95,23 @@ int main() {
   bool first = true;
   for (const std::size_t depth : {8, 64, 4096}) {
     const outcome o = run(depth, 900 + depth);
-    const auto leaked =
-        static_cast<long long>(o.chunks_total) -
-        static_cast<long long>(o.chunks_free);
-    const double unaccounted =
-        o.unroutable + o.dropped + o.rejected - o.traced_drops - o.untraced;
-    std::printf("%-8zu %10d %9.0f us %10.0f %10.0f %12.0f %8lld %12.0f\n",
+    const long long leaked = o.books.leaked();
+    const auto unaccounted =
+        static_cast<unsigned long long>(o.books.unaccounted());
+    std::printf("%-8zu %10d %9.0f us %10.0f %10.0f %12.0f %8lld %12llu\n",
                 depth, o.completed, o.p99_us, o.deferred, o.dropped,
                 o.unroutable, leaked, unaccounted);
+    std::fputs(o.books.violations().c_str(), stderr);
     char buf[512];
     std::snprintf(buf, sizeof(buf),
                   "  {\"depth\": %zu, \"completed\": %d, \"p99_us\": %.1f, "
                   "\"deferred\": %.0f, \"dropped\": %.0f, "
                   "\"unroutable\": %.0f, \"traced_drops\": %.0f, "
                   "\"chunks_total\": %zu, \"chunks_free\": %zu, "
-                  "\"leaked\": %lld, \"unaccounted_drops\": %.0f}",
+                  "\"leaked\": %lld, \"unaccounted_drops\": %llu}",
                   depth, o.completed, o.p99_us, o.deferred, o.dropped,
-                  o.unroutable, o.traced_drops, o.chunks_total, o.chunks_free,
-                  leaked, unaccounted);
+                  o.unroutable, o.traced_drops, o.books.chunks(),
+                  o.books.chunks_free(), leaked, unaccounted);
     json += first ? "" : ",\n";
     json += buf;
     first = false;

@@ -161,40 +161,15 @@ outcome run(bool attack, std::uint64_t seed, bool smoke) {
             .value_or(0.0);
   }
 
-  // Leak + accounting audit across both hosts, every shard. The hostile
-  // channel is audited explicitly: after quarantine it is no longer in
-  // attached_vms().
-  std::size_t chunks_total = hch->pool.chunk_count();
-  std::size_t chunks_free = hch->pool.chunks_free();
+  // Leak + accounting audit across both hosts: every shard, and every pool
+  // (the quarantined hostile one is retired, and audited with the rest).
+  core::audit_report books;
   for (auto* engine : {&bed.netkernel(side::a), &bed.netkernel(side::b)}) {
-    for (const auto vm : engine->attached_vms()) {
-      auto* ch = engine->channel_of(vm);
-      if (ch == hch) continue;
-      chunks_total += ch->pool.chunk_count();
-      chunks_free += ch->pool.chunks_free();
-    }
-    for (std::size_t s = 0; s < engine->shards(); ++s) {
-      const auto& st = engine->shard_stats(s);
-      const std::uint64_t lost = st.unroutable_nqes + st.nqes_dropped +
-                                 st.stale_nqes + st.rejected_nqes;
-      const std::uint64_t traced = engine->shard_traces_dropped(s) +
-                                   engine->shard_discards_untraced(s);
-      if (lost != traced) {
-        out.accounting_ok = false;
-        std::fprintf(stderr,
-                     "shard %zu: lost=%llu traced=%llu (unroutable=%llu "
-                     "dropped=%llu stale=%llu rejected=%llu)\n",
-                     s, static_cast<unsigned long long>(lost),
-                     static_cast<unsigned long long>(traced),
-                     static_cast<unsigned long long>(st.unroutable_nqes),
-                     static_cast<unsigned long long>(st.nqes_dropped),
-                     static_cast<unsigned long long>(st.stale_nqes),
-                     static_cast<unsigned long long>(st.rejected_nqes));
-      }
-    }
+    books += engine->audit();
   }
-  out.leaked = static_cast<long long>(chunks_total) -
-               static_cast<long long>(chunks_free);
+  std::fputs(books.violations().c_str(), stderr);
+  out.leaked = books.leaked();
+  out.accounting_ok = books.shards_balanced() && books.pipeline_balanced();
   return out;
 }
 

@@ -35,13 +35,7 @@ struct outcome {
   double recovered = 0;      // sockets replayed onto the replacement
   double aborted = 0;        // sockets reset toward the guest
   double stale = 0;          // dead-incarnation nqes discarded, both hosts
-  double dropped = 0;
-  double unroutable = 0;
-  double rejected = 0;       // refused by the admission firewall
-  double traced_drops = 0;
-  double untraced_discards = 0;  // discards carrying no live trace id
-  std::size_t chunks_total = 0;
-  std::size_t chunks_free = 0;
+  core::audit_report books;  // chunk + drop accounting, both hosts
 };
 
 outcome run(core::nsm_form form, std::uint64_t seed) {
@@ -142,19 +136,9 @@ outcome run(core::nsm_form form, std::uint64_t seed) {
   out.recovered = ce.metrics().value_of("sockets_recovered").value_or(0.0);
   out.aborted = ce.metrics().value_of("sockets_aborted").value_or(0.0);
   for (auto* engine : {&bed.netkernel(side::a), &bed.netkernel(side::b)}) {
-    const auto& m = engine->metrics();
-    out.stale += m.value_of("engine_stale_nqes").value_or(0.0);
-    out.dropped += m.value_of("engine_nqes_dropped").value_or(0.0);
-    out.unroutable += m.value_of("engine_unroutable_nqes").value_or(0.0);
-    out.rejected += m.value_of("engine_nqes_rejected").value_or(0.0);
-    out.traced_drops += m.value_of("nqe_traces_dropped").value_or(0.0);
-    out.untraced_discards +=
-        m.value_of("engine_discards_untraced").value_or(0.0);
-    for (const auto vm : engine->attached_vms()) {
-      auto* ch = engine->channel_of(vm);
-      out.chunks_total += ch->pool.chunk_count();
-      out.chunks_free += ch->pool.chunks_free();
-    }
+    out.stale +=
+        engine->metrics().value_of("engine_stale_nqes").value_or(0.0);
+    out.books += engine->audit();
   }
   return out;
 }
@@ -182,17 +166,16 @@ int main(int argc, char** argv) {
                                           core::nsm_form::vm};
   for (const core::nsm_form form : forms) {
     const outcome o = run(form, 1000 + static_cast<std::uint64_t>(form));
-    const auto leaked = static_cast<long long>(o.chunks_total) -
-                        static_cast<long long>(o.chunks_free);
-    const double unaccounted = o.unroutable + o.dropped + o.stale +
-                               o.rejected - o.traced_drops -
-                               o.untraced_discards;
-    std::printf("%-18s %7.2f ms %9.2f ms %9.2f ms %6.0f %6.0f %8.0f %8lld %12.0f\n",
+    const long long leaked = o.books.leaked();
+    const auto unaccounted =
+        static_cast<unsigned long long>(o.books.unaccounted());
+    std::printf("%-18s %7.2f ms %9.2f ms %9.2f ms %6.0f %6.0f %8.0f %8lld %12llu\n",
                 std::string{core::to_string(form)}.c_str(), o.detect_ms,
                 o.failover_ms, o.recovery_ms, o.recovered, o.aborted, o.stale,
                 leaked, unaccounted);
-    ok = ok && o.failed_over && o.reconnected && leaked == 0 &&
-         unaccounted == 0 && o.recovered >= 1 && o.aborted >= 1;
+    std::fputs(o.books.violations().c_str(), stderr);
+    ok = ok && o.failed_over && o.reconnected && o.books.clean() &&
+         o.recovered >= 1 && o.aborted >= 1;
     char buf[512];
     std::snprintf(buf, sizeof(buf),
                   "  {\"form\": \"%s\", \"failed_over\": %s, "
@@ -200,7 +183,7 @@ int main(int argc, char** argv) {
                   "\"failover_ms\": %.3f, \"recovery_ms\": %.3f, "
                   "\"sockets_recovered\": %.0f, \"sockets_aborted\": %.0f, "
                   "\"stale_nqes\": %.0f, \"leaked\": %lld, "
-                  "\"unaccounted_drops\": %.0f}",
+                  "\"unaccounted_drops\": %llu}",
                   std::string{core::to_string(form)}.c_str(),
                   o.failed_over ? "true" : "false",
                   o.reconnected ? "true" : "false", o.detect_ms,

@@ -44,14 +44,7 @@ struct outcome {
   bool failed_over = false;
   bool recorder_dumped = false;  // file exists with trace events + crash note
   std::size_t recorder_events = 0;
-  double stale = 0;
-  double dropped = 0;
-  double unroutable = 0;
-  double rejected = 0;
-  double traced_drops = 0;
-  double untraced_discards = 0;
-  std::size_t chunks_total = 0;
-  std::size_t chunks_free = 0;
+  core::audit_report books;  // chunk + drop accounting, both engines
 };
 
 outcome run(bool smoke, std::uint64_t seed) {
@@ -180,21 +173,8 @@ outcome run(bool smoke, std::uint64_t seed) {
   out.recorder_dumped = out.recorder_dumped && snaps.count(victim) == 1;
 
   // --- accounting invariant + chunk-leak check across both engines -----------
-  for (auto* engine : {&tx_ce, &rx_ce}) {
-    const auto& m = engine->metrics();
-    out.stale += m.value_of("engine_stale_nqes").value_or(0.0);
-    out.dropped += m.value_of("engine_nqes_dropped").value_or(0.0);
-    out.unroutable += m.value_of("engine_unroutable_nqes").value_or(0.0);
-    out.rejected += m.value_of("engine_nqes_rejected").value_or(0.0);
-    out.traced_drops += m.value_of("nqe_traces_dropped").value_or(0.0);
-    out.untraced_discards +=
-        m.value_of("engine_discards_untraced").value_or(0.0);
-    for (const auto vm : engine->attached_vms()) {
-      auto* ch = engine->channel_of(vm);
-      out.chunks_total += ch->pool.chunk_count();
-      out.chunks_free += ch->pool.chunks_free();
-    }
-  }
+  out.books += tx_ce.audit();
+  out.books += rx_ce.audit();
   return out;
 }
 
@@ -209,10 +189,9 @@ int main(int argc, char** argv) {
       " NSM must leave a flight-recorder dump behind)\n\n");
 
   const outcome o = run(smoke, smoke ? 42 : 4242);
-  const auto leaked = static_cast<long long>(o.chunks_total) -
-                      static_cast<long long>(o.chunks_free);
-  const double unaccounted = o.unroutable + o.dropped + o.stale + o.rejected -
-                             o.traced_drops - o.untraced_discards;
+  const long long leaked = o.books.leaked();
+  const auto unaccounted =
+      static_cast<unsigned long long>(o.books.unaccounted());
 
   std::printf("flows introspected      %zu\n", o.flows_seen);
   std::printf("join consistent         %s\n", o.join_consistent ? "yes" : "NO");
@@ -224,8 +203,9 @@ int main(int argc, char** argv) {
   std::printf("failed over             %s\n", o.failed_over ? "yes" : "NO");
   std::printf("flight recorder dumped  %s (%zu events)\n",
               o.recorder_dumped ? "yes" : "NO", o.recorder_events);
-  std::printf("unaccounted drops       %.0f\n", unaccounted);
+  std::printf("unaccounted drops       %llu\n", unaccounted);
   std::printf("chunks leaked           %lld\n", leaked);
+  std::fputs(o.books.violations().c_str(), stderr);
 
   std::ofstream out{"ablate_introspection.json"};
   char buf[512];
@@ -234,7 +214,7 @@ int main(int argc, char** argv) {
       "{\"flows\": %zu, \"join_consistent\": %s, \"stats_live\": %s, "
       "\"retransmits_visible\": %s, \"critical_path\": %s, "
       "\"failed_over\": %s, \"recorder_dumped\": %s, "
-      "\"recorder_events\": %zu, \"unaccounted_drops\": %.0f, "
+      "\"recorder_events\": %zu, \"unaccounted_drops\": %llu, "
       "\"leaked\": %lld}\n",
       o.flows_seen, o.join_consistent ? "true" : "false",
       o.stats_live ? "true" : "false", o.saw_retransmits ? "true" : "false",
@@ -246,8 +226,7 @@ int main(int argc, char** argv) {
 
   const bool ok = o.flows_seen >= 2 && o.join_consistent && o.stats_live &&
                   o.saw_retransmits && o.critical_path_present &&
-                  o.failed_over && o.recorder_dumped && unaccounted == 0 &&
-                  leaked == 0;
+                  o.failed_over && o.recorder_dumped && o.books.clean();
   if (!ok) {
     std::printf("FAIL: an introspection invariant was violated\n");
     return 1;

@@ -276,32 +276,15 @@ isolation_result run_isolation(bool hog_on, std::uint64_t seed, bool smoke) {
           .value_of("vm" + std::to_string(hog_vm) + "_cycle_budget_used")
           .value_or(-1.0);
 
-  // Leak + per-shard accounting audit across both hosts (quota stalls are
+  // Leak + accounting audit across both hosts (quota stalls are
   // backpressure: nothing may leak or vanish untraced).
-  std::size_t chunks_total = 0;
-  std::size_t chunks_free = 0;
+  core::audit_report books;
   for (auto* engine : {&bed.netkernel(side::a), &bed.netkernel(side::b)}) {
-    for (const auto vm : engine->attached_vms()) {
-      auto* ch = engine->channel_of(vm);
-      chunks_total += ch->pool.chunk_count();
-      chunks_free += ch->pool.chunks_free();
-    }
-    for (std::size_t s = 0; s < engine->shards(); ++s) {
-      const auto& st = engine->shard_stats(s);
-      const std::uint64_t lost = st.unroutable_nqes + st.nqes_dropped +
-                                 st.stale_nqes + st.rejected_nqes;
-      const std::uint64_t traced = engine->shard_traces_dropped(s) +
-                                   engine->shard_discards_untraced(s);
-      if (lost != traced) {
-        out.accounting_ok = false;
-        std::fprintf(stderr, "shard %zu: lost=%llu traced=%llu\n", s,
-                     static_cast<unsigned long long>(lost),
-                     static_cast<unsigned long long>(traced));
-      }
-    }
+    books += engine->audit();
   }
-  out.leaked = static_cast<long long>(chunks_total) -
-               static_cast<long long>(chunks_free);
+  std::fputs(books.violations().c_str(), stderr);
+  out.leaked = books.leaked();
+  out.accounting_ok = books.shards_balanced() && books.pipeline_balanced();
   return out;
 }
 

@@ -167,9 +167,7 @@ shard_outcome run_engine_shards(std::size_t shards) {
 // (unroutable, capped, stale) must retire a live trace in the shard that
 // discarded it, and every huge-page chunk must come home.
 struct stress_outcome {
-  bool per_shard_invariant = true;
-  bool aggregate_invariant = false;
-  long long leaked = 0;
+  core::audit_report books;   // both hosts
   std::uint64_t dropped = 0;  // engine drops, both hosts
 };
 
@@ -203,38 +201,10 @@ stress_outcome run_shard_backpressure() {
   bed.run_for(seconds(5));
 
   stress_outcome out;
-  double losses = 0;
-  double trace_drops = 0;
   for (auto* ce : {&bed.netkernel(side::a), &bed.netkernel(side::b)}) {
-    for (std::size_t s = 0; s < ce->shards(); ++s) {
-      const auto& st = ce->shard_stats(s);
-      const auto traced =
-          ce->shard_traces_dropped(s) + ce->shard_discards_untraced(s);
-      if (st.unroutable_nqes + st.nqes_dropped + st.stale_nqes +
-              st.rejected_nqes !=
-          traced) {
-        out.per_shard_invariant = false;
-      }
-      out.dropped += st.nqes_dropped;
-    }
-    // Aggregate closure: the engine loss gauges fold in ServiceLib's drops
-    // (stale and capped), and every one of those retires a live trace — so
-    // against the raw `nqe_traces_dropped` counter the books must balance
-    // exactly.
-    const auto& m = ce->metrics();
-    losses += m.value_of("engine_unroutable_nqes").value_or(0.0) +
-              m.value_of("engine_nqes_dropped").value_or(0.0) +
-              m.value_of("engine_stale_nqes").value_or(0.0) +
-              m.value_of("engine_nqes_rejected").value_or(0.0);
-    trace_drops += m.value_of("nqe_traces_dropped").value_or(0.0) +
-                   m.value_of("engine_discards_untraced").value_or(0.0);
-    for (const auto vm : ce->attached_vms()) {
-      auto* ch = ce->channel_of(vm);
-      out.leaked += static_cast<long long>(ch->pool.chunk_count()) -
-                    static_cast<long long>(ch->pool.chunks_free());
-    }
+    out.books += ce->audit();
+    out.dropped += ce->stats().nqes_dropped;
   }
-  out.aggregate_invariant = losses == trace_drops;
   return out;
 }
 
@@ -251,9 +221,10 @@ int run_smoke() {
   std::printf(
       "  depth-8 stress: per-shard invariant %s, aggregate %s, "
       "leaked %lld, engine drops %llu\n",
-      st.per_shard_invariant ? "ok" : "VIOLATED",
-      st.aggregate_invariant ? "ok" : "VIOLATED", st.leaked,
+      st.books.shards_balanced() ? "ok" : "VIOLATED",
+      st.books.pipeline_balanced() ? "ok" : "VIOLATED", st.books.leaked(),
       static_cast<unsigned long long>(st.dropped));
+  std::fputs(st.books.violations().c_str(), stderr);
 
   int failures = 0;
   if (speedup < 3.0) {
@@ -269,12 +240,13 @@ int run_smoke() {
                 four.busy_shards);
     ++failures;
   }
-  if (!st.per_shard_invariant || !st.aggregate_invariant) {
+  if (!st.books.shards_balanced() || !st.books.pipeline_balanced()) {
     std::printf("  FAIL: drop-accounting invariant violated\n");
     ++failures;
   }
-  if (st.leaked != 0) {
-    std::printf("  FAIL: %lld chunks leaked under backpressure\n", st.leaked);
+  if (st.books.leaked() != 0) {
+    std::printf("  FAIL: %lld chunks leaked under backpressure\n",
+                st.books.leaked());
     ++failures;
   }
   std::printf(failures == 0 ? "  PASS\n" : "  %d gate(s) failed\n", failures);

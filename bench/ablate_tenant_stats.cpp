@@ -306,33 +306,15 @@ outcome run(bool stats_on, std::uint64_t seed, bool smoke) {
   }
   check_page(qch, "nkq", 7001, 7011);  // post-failover sample, still clean
 
-  // Leak + accounting audit across both hosts, every shard (the retired
-  // hostile channel audited explicitly).
-  std::size_t chunks_total = hch->pool.chunk_count();
-  std::size_t chunks_free = hch->pool.chunks_free();
+  // Leak + accounting audit across both hosts: every shard, and every pool
+  // (the quarantined hostile one is retired, and audited with the rest).
+  core::audit_report books;
   for (auto* engine : {&bed.netkernel(side::a), &bed.netkernel(side::b)}) {
-    for (const auto vm : engine->attached_vms()) {
-      auto* ch = engine->channel_of(vm);
-      if (ch == hch) continue;
-      chunks_total += ch->pool.chunk_count();
-      chunks_free += ch->pool.chunks_free();
-    }
-    for (std::size_t s = 0; s < engine->shards(); ++s) {
-      const auto& st = engine->shard_stats(s);
-      const std::uint64_t lost = st.unroutable_nqes + st.nqes_dropped +
-                                 st.stale_nqes + st.rejected_nqes;
-      const std::uint64_t traced = engine->shard_traces_dropped(s) +
-                                   engine->shard_discards_untraced(s);
-      if (lost != traced) {
-        out.accounting_ok = false;
-        std::fprintf(stderr, "shard %zu: lost=%llu traced=%llu\n", s,
-                     static_cast<unsigned long long>(lost),
-                     static_cast<unsigned long long>(traced));
-      }
-    }
+    books += engine->audit();
   }
-  out.leaked = static_cast<long long>(chunks_total) -
-               static_cast<long long>(chunks_free);
+  std::fputs(books.violations().c_str(), stderr);
+  out.leaked = books.leaked();
+  out.accounting_ok = books.shards_balanced() && books.pipeline_balanced();
   return out;
 }
 

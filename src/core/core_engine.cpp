@@ -23,6 +23,9 @@ constexpr sim_time pump_backlog_bound = microseconds(3);
 // the whole range above any GuestLib-minted fd.
 constexpr std::uint32_t accept_fd_base = 0x80000000;
 constexpr std::uint32_t accept_fd_stride = 0x00100000;
+// Planned live update: how long replace_nsm waits for the old module to
+// quiesce before switching anyway (bounds a module that never drains).
+constexpr sim_time planned_drain_timeout = milliseconds(50);
 }
 
 core_engine::core_engine(virt::hypervisor& host, const core_engine_config& cfg)
@@ -87,43 +90,24 @@ core_engine::core_engine(virt::hypervisor& host, const core_engine_config& cfg)
   // every ServiceLib's and GuestLib's, so one pair of numbers captures the
   // failure-accounting invariant (delivered + deferred + dropped = produced).
   metrics_.register_gauge_fn("engine_nqes_deferred", [this] {
-    double d = static_cast<double>(stats().nqes_deferred);
-    for (const auto& [id, svc] : services_) {
-      d += static_cast<double>(svc->stats().nqes_deferred);
-    }
-    for (const auto& svc : retired_services_) {
-      d += static_cast<double>(svc->stats().nqes_deferred);
-    }
-    for (const auto& [vm, att] : attachments_) {
-      if (att.glib) d += static_cast<double>(att.glib->stats().jobs_deferred);
-    }
-    for (const auto& att : retired_attachments_) {
-      if (att.glib) d += static_cast<double>(att.glib->stats().jobs_deferred);
-    }
-    return d;
+    const auto glib_deferred = [](const auto& att) {
+      return att.glib ? att.glib->stats().jobs_deferred : 0;
+    };
+    return static_cast<double>(
+        stats().nqes_deferred + sum_attachments(glib_deferred) +
+        sum_services([](const auto& s) { return s.stats().nqes_deferred; }));
   });
   metrics_.register_gauge_fn("engine_nqes_dropped", [this] {
-    double d = static_cast<double>(stats().nqes_dropped);
-    for (const auto& [id, svc] : services_) {
-      d += static_cast<double>(svc->stats().nqes_dropped);
-    }
-    for (const auto& svc : retired_services_) {
-      d += static_cast<double>(svc->stats().nqes_dropped);
-    }
-    return d;
+    return static_cast<double>(
+        stats().nqes_dropped +
+        sum_services([](const auto& svc) { return svc.stats().nqes_dropped; }));
   });
   // Fault-domain accounting: nqes discarded because they were stamped by a
-  // retired NSM incarnation (engine side plus every ServiceLib, retired
-  // ones included — the invariant must survive replacement).
+  // retired NSM incarnation (engine side plus every ServiceLib).
   metrics_.register_gauge_fn("engine_stale_nqes", [this] {
-    double d = static_cast<double>(stats().stale_nqes);
-    for (const auto& [id, svc] : services_) {
-      d += static_cast<double>(svc->stats().stale_nqes);
-    }
-    for (const auto& svc : retired_services_) {
-      d += static_cast<double>(svc->stats().stale_nqes);
-    }
-    return d;
+    return static_cast<double>(
+        stats().stale_nqes +
+        sum_services([](const auto& svc) { return svc.stats().stale_nqes; }));
   });
   // Admission-firewall accounting (DESIGN.md §14): total rejections, the
   // per-reason split, the untraced-discard half of the drop invariant, and
@@ -147,37 +131,22 @@ core_engine::core_engine(virt::hypervisor& host, const core_engine_config& cfg)
     return static_cast<double>(n);
   });
   metrics_.register_gauge_fn("engine_chunk_key_mismatch", [this] {
-    std::uint64_t n = 0;
+    std::uint64_t n = sum_services(
+        [](const auto& svc) { return svc.stats().chunk_key_mismatch; });
     for (const auto& sh : shards_) n += sh.chunk_key_mismatch;
-    for (const auto& [id, svc] : services_) {
-      n += svc->stats().chunk_key_mismatch;
-    }
-    for (const auto& svc : retired_services_) {
-      n += svc->stats().chunk_key_mismatch;
-    }
     return static_cast<double>(n);
   });
   // Defended frees across every attached (and retired) VM's pool: forged
   // double-free / free-of-unowned descriptors the pool refused to apply.
   metrics_.register_gauge_fn("engine_pool_bad_frees", [this] {
-    std::uint64_t n = 0;
-    for (const auto& [vm, att] : attachments_) {
-      if (att.ch) n += att.ch->pool.bad_frees();
-    }
-    for (const auto& att : retired_attachments_) {
-      if (att.ch) n += att.ch->pool.bad_frees();
-    }
-    return static_cast<double>(n);
+    return static_cast<double>(sum_attachments([](const auto& att) {
+      return att.ch ? att.ch->pool.bad_frees() : 0;
+    }));
   });
   metrics_.register_gauge_fn("engine_ops_timed_out", [this] {
-    double d = 0.0;
-    for (const auto& [vm, att] : attachments_) {
-      if (att.glib) d += static_cast<double>(att.glib->stats().ops_timed_out);
-    }
-    for (const auto& att : retired_attachments_) {
-      if (att.glib) d += static_cast<double>(att.glib->stats().ops_timed_out);
-    }
-    return d;
+    return static_cast<double>(sum_attachments([](const auto& att) {
+      return att.glib ? att.glib->stats().ops_timed_out : 0;
+    }));
   });
   metrics_.register_gauge_fn("engine_core_utilization", [this] {
     double util = 0.0;
@@ -259,6 +228,104 @@ core_engine_stats core_engine::stats() const {
     s.rejected_nqes += sh.stats.rejected_nqes;
   }
   return s;
+}
+
+// --- accounting audit --------------------------------------------------------
+
+std::size_t audit_report::chunks() const {
+  std::size_t n = 0;
+  for (const auto& p : pools) n += p.chunks;
+  return n;
+}
+
+std::size_t audit_report::chunks_free() const {
+  std::size_t n = 0;
+  for (const auto& p : pools) n += p.chunks_free;
+  return n;
+}
+
+std::uint64_t audit_report::unaccounted() const {
+  auto gap = [](std::uint64_t a, std::uint64_t b) {
+    return a > b ? a - b : b - a;
+  };
+  std::uint64_t n = pipeline_checked ? gap(pipeline_lost, pipeline_traced) : 0;
+  for (const auto& sh : shards) n += gap(sh.lost(), sh.traced);
+  return n;
+}
+
+bool audit_report::shards_balanced() const {
+  return std::all_of(shards.begin(), shards.end(),
+                     [](const auto& sh) { return sh.lost() == sh.traced; });
+}
+
+std::string audit_report::violations() const {
+  using std::to_string;
+  std::string out;
+  for (const auto& p : pools) {
+    if (p.chunks == p.chunks_free) continue;
+    out += "vm " + to_string(p.vm) + (p.retired ? " (retired): " : ": ") +
+           to_string(p.chunks - p.chunks_free) + " of " + to_string(p.chunks) +
+           " chunks not in the pool\n";
+  }
+  for (const auto& sh : shards) {
+    if (sh.lost() == sh.traced) continue;
+    out += "shard " + to_string(sh.shard) + ": lost=" + to_string(sh.lost()) +
+           " traced=" + to_string(sh.traced) +
+           " (unroutable=" + to_string(sh.stats.unroutable_nqes) +
+           " dropped=" + to_string(sh.stats.nqes_dropped) +
+           " stale=" + to_string(sh.stats.stale_nqes) +
+           " rejected=" + to_string(sh.stats.rejected_nqes) + ")\n";
+  }
+  if (!pipeline_balanced()) {
+    out += "pipeline: lost=" + to_string(pipeline_lost) +
+           " traced=" + to_string(pipeline_traced) +
+           " traces_overflow=" + to_string(traces_overflow) + "\n";
+  }
+  return out;
+}
+
+audit_report& audit_report::operator+=(const audit_report& other) {
+  pools.insert(pools.end(), other.pools.begin(), other.pools.end());
+  shards.insert(shards.end(), other.shards.begin(), other.shards.end());
+  pipeline_checked = pipeline_checked || other.pipeline_checked;
+  pipeline_lost += other.pipeline_lost;
+  pipeline_traced += other.pipeline_traced;
+  traces_overflow += other.traces_overflow;
+  return *this;
+}
+
+audit_report core_engine::audit() const {
+  audit_report r;
+  auto add_pool = [&r](const attachment& att, bool retired) {
+    if (att.ch) {
+      r.pools.push_back({att.ch->vm_id, retired, att.ch->pool.chunk_count(),
+                         att.ch->pool.chunks_free()});
+    }
+  };
+  for (const auto& [vm, att] : attachments_) add_pool(att, false);
+  // attachments_ is a hash map: sort so violations() reads the same each run.
+  std::sort(r.pools.begin(), r.pools.end(),
+            [](const auto& a, const auto& b) { return a.vm < b.vm; });
+  for (const auto& att : retired_attachments_) add_pool(att, true);
+  for (const auto& sh : shards_) {
+    r.shards.push_back(
+        {sh.index, sh.stats, sh.traces_dropped + sh.discards_untraced});
+  }
+#ifndef NK_NO_TRACING
+  r.pipeline_checked = cfg_.trace.enabled && cfg_.trace.sample_rate >= 1.0;
+#endif
+  if (r.pipeline_checked) {
+    auto gauge = [this](std::string_view name) {
+      return static_cast<std::uint64_t>(metrics_.value_of(name).value_or(0.0));
+    };
+    r.pipeline_lost =
+        gauge("engine_unroutable_nqes") + gauge("engine_nqes_dropped") +
+        gauge("engine_stale_nqes") + gauge("engine_nqes_rejected");
+    r.pipeline_traced =
+        gauge("nqe_traces_dropped") + gauge("engine_discards_untraced");
+    r.traces_overflow = gauge("nqe_traces_overflow");
+  }
+  return r;
 }
 
 const core_engine::flow_key* core_engine::find_by_nsm(nsm_key key) const {
@@ -1472,7 +1539,7 @@ nsm& core_engine::replace_nsm(nsm_id failed_id, const nsm_config& cfg,
   } else {
     metrics_.get_counter("nsm_planned_updates").inc();
     try_planned_switch(failed_id, new_id, started,
-                       sim_.now() + cfg_.planned_drain_timeout);
+                       sim_.now() + planned_drain_timeout);
   }
   return fresh;
 }

@@ -99,9 +99,6 @@ struct core_engine_config {
   // accepting new work from the upstream ring, and the hard cap beyond
   // which droppable (pure-data) nqes are discarded with accounting.
   std::size_t overflow_limit = 1024;
-  // Planned live update: how long replace_nsm waits for the old module to
-  // quiesce before switching anyway (bounds a module that never drains).
-  sim_time planned_drain_timeout = milliseconds(50);
   // Engine shards (multi-queue CoreEngine). Each shard beyond the first
   // allocates another core from the host pool (nullptr-tolerant: with the
   // pool exhausted the shard forwards at zero modeled cost).
@@ -123,6 +120,62 @@ struct core_engine_stats {
   std::uint64_t nqes_dropped = 0;   // discarded at the cap (chunks recycled)
   std::uint64_t stale_nqes = 0;     // discarded: from a retired incarnation
   std::uint64_t rejected_nqes = 0;  // refused by the admission firewall
+};
+
+// The engine's exact accounting books (DESIGN.md §14), closed by
+// core_engine::audit(). Deciding when the system is quiescent is the
+// caller's job: a chunk still in flight is occupancy, not a leak.
+struct audit_report {
+  // A pool the engine attached. A detached or quarantined VM's channel is
+  // retired, not destroyed, and its chunks must still come home.
+  struct pool_books {
+    virt::vm_id vm = 0;
+    bool retired = false;
+    std::size_t chunks = 0;
+    std::size_t chunks_free = 0;
+  };
+  // One shard's loss terms and its traces_dropped + discards_untraced.
+  struct shard_books {
+    std::size_t shard = 0;
+    core_engine_stats stats;
+    std::uint64_t traced = 0;
+    [[nodiscard]] std::uint64_t lost() const {
+      return stats.unroutable_nqes + stats.nqes_dropped + stats.stale_nqes +
+             stats.rejected_nqes;
+    }
+  };
+  std::vector<pool_books> pools;
+  std::vector<shard_books> shards;
+  // Pipeline-wide: the engine_* loss gauges (every ServiceLib folded in,
+  // retired ones too) against nqe_traces_dropped + engine_discards_untraced.
+  // Checked only when the engine traces every nqe: tracing compiled in,
+  // enabled, sample rate 1.0 — and then no trace may have overflowed.
+  bool pipeline_checked = false;
+  std::uint64_t pipeline_lost = 0;
+  std::uint64_t pipeline_traced = 0;
+  std::uint64_t traces_overflow = 0;
+
+  [[nodiscard]] std::size_t chunks() const;
+  [[nodiscard]] std::size_t chunks_free() const;
+  [[nodiscard]] long long leaked() const {
+    return static_cast<long long>(chunks()) -
+           static_cast<long long>(chunks_free());
+  }
+  // Discards missing from (or surplus in) the books: the per-shard
+  // mismatches plus, when checked, the pipeline-wide one.
+  [[nodiscard]] std::uint64_t unaccounted() const;
+  [[nodiscard]] bool shards_balanced() const;
+  [[nodiscard]] bool pipeline_balanced() const {
+    return !pipeline_checked ||
+           (traces_overflow == 0 && pipeline_lost == pipeline_traced);
+  }
+  [[nodiscard]] bool clean() const {
+    return leaked() == 0 && shards_balanced() && pipeline_balanced();
+  }
+  // One line per violation ("" when clean), for stderr and test messages.
+  [[nodiscard]] std::string violations() const;
+  // Folds another engine's books in (two-host testbeds audit both ends).
+  audit_report& operator+=(const audit_report& other);
 };
 
 // Why the admission firewall refused an nqe (indexes the per-shard and the
@@ -270,8 +323,11 @@ class core_engine {
   // Aggregate over every shard (by value: the partitions are summed on
   // demand so the hot path never writes a shared struct).
   [[nodiscard]] core_engine_stats stats() const;
+  // Closes the accounting books (DESIGN.md §14): chunk conservation over
+  // every pool the engine ever attached, the drop identity per shard and,
+  // when every nqe is traced, pipeline-wide. Control plane only.
+  [[nodiscard]] audit_report audit() const;
   [[nodiscard]] const core_engine_config& config() const { return cfg_; }
-  [[nodiscard]] sim::cpu_core* engine_core() { return shards_[0].core; }
 
   // --- sharding ---------------------------------------------------------------
 
@@ -280,31 +336,11 @@ class core_engine {
   [[nodiscard]] const core_engine_stats& shard_stats(std::size_t s) const {
     return shards_[s].stats;
   }
-  // Live traces this shard retired via tracer drop() — the shard-local
-  // slice of the global nqe_traces_dropped counter. Discards whose nqe
-  // carried no live trace (hostile injections arrive with reserved=0, and
-  // sampled-out nqes at sample_rate < 1.0) land in
-  // shard_discards_untraced(s) instead, so the per-shard invariant is exact
-  // at every sample rate:
-  //   unroutable + dropped + stale + rejected
-  //     == shard_traces_dropped(s) + shard_discards_untraced(s).
-  [[nodiscard]] std::uint64_t shard_traces_dropped(std::size_t s) const {
-    return shards_[s].traces_dropped;
-  }
-  [[nodiscard]] std::uint64_t shard_discards_untraced(std::size_t s) const {
-    return shards_[s].discards_untraced;
-  }
   // Firewall rejections by reason, this shard's slice (indexed by
   // reject_reason).
   [[nodiscard]] const std::array<std::uint64_t, 4>& shard_rejected_reasons(
       std::size_t s) const {
     return shards_[s].rejected_reason;
-  }
-  // NSM-side outputs refused because their descriptor named a foreign pool
-  // key (satellite of DESIGN.md §14: pool_key isolation enforced at every
-  // engine-side dereference, not just inside the pool).
-  [[nodiscard]] std::uint64_t shard_chunk_key_mismatch(std::size_t s) const {
-    return shards_[s].chunk_key_mismatch;
   }
   [[nodiscard]] sim::cpu_core* shard_core(std::size_t s) {
     return shards_[s].core;
@@ -432,9 +468,11 @@ class core_engine {
     std::unordered_map<flow_key, flow_entry, flow_key_hash> by_flow;
     std::unordered_map<nsm_key, flow_key, nsm_key_hash> by_nsm;
     core_engine_stats stats;
-    std::uint64_t traces_dropped = 0;  // live traces this shard retired
-    // Discards whose nqe carried no live trace (forged nqes, sampled-out
-    // ones) — the other half of the drop-accounting invariant.
+    // Live traces this shard retired: its slice of nqe_traces_dropped.
+    std::uint64_t traces_dropped = 0;
+    // Discards whose nqe carried no live trace (forged nqes arrive with
+    // reserved=0; sampled-out ones at sample_rate < 1) — the other half of
+    // the drop identity, which keeps it exact at every sample rate.
     std::uint64_t discards_untraced = 0;
     // Firewall rejections by reject_reason (badop/badfd/badchunk/badepoch).
     std::array<std::uint64_t, 4> rejected_reason{};
@@ -560,6 +598,23 @@ class core_engine {
     } else {
       ++sh.discards_untraced;
     }
+  }
+  // Folds a count over every ServiceLib / attachment the engine ever had,
+  // retired ones included: pipeline-wide books must survive replacement
+  // and detach.
+  template <typename F>
+  [[nodiscard]] std::uint64_t sum_services(F f) const {
+    std::uint64_t n = 0;
+    for (const auto& [id, svc] : services_) n += f(*svc);
+    for (const auto& svc : retired_services_) n += f(*svc);
+    return n;
+  }
+  template <typename F>
+  [[nodiscard]] std::uint64_t sum_attachments(F f) const {
+    std::uint64_t n = 0;
+    for (const auto& [vm, att] : attachments_) n += f(att);
+    for (const auto& att : retired_attachments_) n += f(att);
+    return n;
   }
   // Cross-shard by_nsm lookup (control plane only: the ev_accept listener
   // resolution, flow_table joins). Returns the owning shard's entry.

@@ -98,7 +98,7 @@ std::size_t guest_lib::flush_pending_jobs() {
 void guest_lib::wake_writers() {
   std::vector<std::uint32_t> ready;
   for (auto& [fd, gs] : sockets_) {
-    if (gs.writable_blocked && gs.inflight < cfg_.send_credit &&
+    if (gs.writable_blocked && gs.inflight < send_credit &&
         !lane_backlogged(gs.shard)) {
       gs.writable_blocked = false;
       ready.push_back(fd);
@@ -250,7 +250,7 @@ result<std::size_t> guest_lib::nk_send(std::uint32_t fd, buffer data) {
   const std::size_t chunk_size = ch_.pool.chunk_size();
   std::size_t accepted = 0;
   while (accepted < data.size()) {
-    if (gs->inflight >= cfg_.send_credit || lane_backlogged(gs->shard)) {
+    if (gs->inflight >= send_credit || lane_backlogged(gs->shard)) {
       gs->writable_blocked = true;
       ++stats_.send_blocked;
       break;
@@ -353,8 +353,7 @@ result<std::size_t> guest_lib::nk_udp_send_to(std::uint32_t fd,
   if (gs == nullptr) return errc::not_found;
   if (!gs->udp) return errc::invalid_argument;
   if (data.size() > ch_.pool.chunk_size()) return errc::invalid_argument;
-  if (gs->inflight + data.size() > cfg_.send_credit ||
-      lane_backlogged(gs->shard)) {
+  if (gs->inflight + data.size() > send_credit || lane_backlogged(gs->shard)) {
     ++stats_.send_blocked;
     return errc::would_block;
   }
@@ -560,13 +559,6 @@ std::size_t guest_lib::recv_available(std::uint32_t fd) const {
   return gs == nullptr ? 0 : gs->rx_bytes;
 }
 
-std::size_t guest_lib::send_credit_available(std::uint32_t fd) const {
-  const auto* gs = socket_of(fd);
-  if (gs == nullptr) return 0;
-  return gs->inflight >= cfg_.send_credit ? 0
-                                          : cfg_.send_credit - gs->inflight;
-}
-
 bool guest_lib::eof(std::uint32_t fd) const {
   const auto* gs = socket_of(fd);
   return gs == nullptr || gs->eof;
@@ -611,8 +603,7 @@ std::vector<guest_lib::epoll_event_out> guest_lib::nk_epoll_wait(
     epoll_event_out ev;
     ev.fd = fd;
     ev.readable = gs->rx_bytes > 0 || gs->eof || !gs->accept_q.empty();
-    ev.writable = gs->ph == phase::connected &&
-                  gs->inflight < cfg_.send_credit;
+    ev.writable = gs->ph == phase::connected && gs->inflight < send_credit;
     ev.error = gs->ph == phase::failed;
     if (ev.readable || ev.writable || ev.error) ready.push_back(ev);
   }
@@ -688,7 +679,7 @@ void guest_lib::handle_nqe(const shm::nqe& e, std::size_t shard) {
       auto* gs = socket_of(e.handle);
       if (gs == nullptr) return;
       gs->inflight = gs->inflight >= e.arg0 ? gs->inflight - e.arg0 : 0;
-      if (gs->writable_blocked && gs->inflight < cfg_.send_credit) {
+      if (gs->writable_blocked && gs->inflight < send_credit) {
         gs->writable_blocked = false;
         emit_event(e.handle, stack::socket_event_type::writable);
       }

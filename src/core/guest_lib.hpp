@@ -67,10 +67,6 @@ struct guest_lib_stats {
 };
 
 struct guest_lib_config {
-  std::uint64_t send_credit = 1024 * 1024;  // outstanding bytes per socket
-  // Jobs staged locally when the VM-side job ring is full before the app
-  // starts seeing would_block on sends.
-  std::size_t max_deferred_jobs = 256;
   // Pending-op deadline policy: an async op whose completion never arrives
   // (its NSM died mid-request) fails with errc::timed_out instead of
   // stranding the socket forever. Each expiry first resubmits the op up to
@@ -133,7 +129,6 @@ class guest_lib {
       std::uint32_t fd);
 
   [[nodiscard]] std::size_t recv_available(std::uint32_t fd) const;
-  [[nodiscard]] std::size_t send_credit_available(std::uint32_t fd) const;
   [[nodiscard]] bool eof(std::uint32_t fd) const;
 
   // --- events -----------------------------------------------------------------
@@ -242,8 +237,13 @@ class guest_lib {
   std::size_t flush_pending_jobs();
   void wake_writers();
   void recycle_chunk(const shm::nqe& e, std::size_t shard);
+  // Outstanding bytes per socket before nk_send returns would_block.
+  static constexpr std::uint64_t send_credit = 1024 * 1024;
+  // Jobs staged locally when the VM-side job ring is full before the app
+  // starts seeing would_block on sends.
+  static constexpr std::size_t max_deferred_jobs = 256;
   [[nodiscard]] bool lane_backlogged(std::size_t shard) const {
-    return pending_lanes_[shard].size() >= cfg_.max_deferred_jobs;
+    return pending_lanes_[shard].size() >= max_deferred_jobs;
   }
   // Pending-op watchdog: arms a deadline after each req_connect submission;
   // on expiry the op is resubmitted (bounded) or failed with timed_out.

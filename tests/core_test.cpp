@@ -4,6 +4,9 @@
 // modes, and accounting.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+
 #include "apps/scenario.hpp"
 #include "apps/workloads.hpp"
 #include "core/accounting.hpp"
@@ -515,34 +518,17 @@ TEST(netkernel_backpressure, tiny_rings_lose_no_nqes_or_chunks) {
   EXPECT_TRUE(sink.pattern_ok());
   EXPECT_EQ(sender.flows_done(), 2);
 
-  // Zero chunk leaks on every channel of both hosts.
-  for (auto* ce : {&bed.netkernel(side::a), &bed.netkernel(side::b)}) {
-    for (const auto vm : ce->attached_vms()) {
-      auto* ch = ce->channel_of(vm);
-      EXPECT_EQ(ch->pool.chunks_free(), ch->pool.chunk_count());
-    }
-  }
-
   // The tiny rings must actually have exercised the overflow machinery.
   const double deferred =
       bed.netkernel(side::a).metrics().value_of("engine_nqes_deferred").value() +
       bed.netkernel(side::b).metrics().value_of("engine_nqes_deferred").value();
   EXPECT_GT(deferred, 0.0);
 
-  // Failure accounting: with every nqe traced (sample_rate 1, no tracer
-  // overflow), each loss to unroutable teardown or an overflow cap is
-  // visible to the tracer — nothing vanished silently. (With
-  // -DNK_DISABLE_TRACING the tracer observes nothing, so the invariant
-  // only holds when the hooks are compiled in.)
-#ifndef NK_NO_TRACING
+  // Zero chunk leaks on every pool of both hosts, and every loss to
+  // unroutable teardown or an overflow cap visible in the books.
   for (auto* ce : {&bed.netkernel(side::a), &bed.netkernel(side::b)}) {
-    const auto& m = ce->metrics();
-    EXPECT_EQ(m.value_of("nqe_traces_overflow").value_or(0.0), 0.0);
-    const double lost = m.value_of("engine_unroutable_nqes").value_or(0.0) +
-                        m.value_of("engine_nqes_dropped").value_or(0.0);
-    EXPECT_EQ(lost, m.value_of("nqe_traces_dropped").value_or(0.0));
+    EXPECT_EQ(ce->audit().violations(), "");
   }
-#endif
 }
 
 TEST(core_engine, detach_vm_reclaims_channel_and_metrics) {
@@ -650,10 +636,7 @@ TEST(netkernel_churn, accept_close_churn_survives_table_rehashes) {
   EXPECT_EQ(rig.bed.netkernel(side::b).stats().accept_fds_minted,
             static_cast<std::uint64_t>(waves * per_wave));
   for (auto* ce : {&rig.bed.netkernel(side::a), &rig.bed.netkernel(side::b)}) {
-    for (const auto vm : ce->attached_vms()) {
-      auto* ch = ce->channel_of(vm);
-      EXPECT_EQ(ch->pool.chunks_free(), ch->pool.chunk_count());
-    }
+    EXPECT_EQ(ce->audit().violations(), "");
   }
 }
 
@@ -902,18 +885,10 @@ TEST(netkernel_sharding, failover_replays_flows_within_owning_shards) {
   bed.run_for(milliseconds(100));
   EXPECT_EQ(connected, 5);
 
-  // Per-shard drop accounting stayed consistent through the failover: every
-  // engine-side discard (unroutable, capped, stale) retired a live trace in
-  // the shard that discarded it.
-#ifndef NK_NO_TRACING
-  for (std::size_t s = 0; s < ce.shards(); ++s) {
-    const auto& st = ce.shard_stats(s);
-    EXPECT_EQ(st.unroutable_nqes + st.nqes_dropped + st.stale_nqes +
-                  st.rejected_nqes,
-              ce.shard_traces_dropped(s) + ce.shard_discards_untraced(s))
-        << "shard " << s;
-  }
-#endif
+  // Drop accounting stayed consistent through the failover: every
+  // engine-side discard (unroutable, capped, stale) is in the books of the
+  // shard that discarded it.
+  EXPECT_EQ(ce.audit().violations(), "");
 }
 
 // --- admission firewall + abuse quarantine (DESIGN.md §14) -----------------
@@ -1029,10 +1004,7 @@ TEST(netkernel_firewall, escalation_quarantines_rogue_and_spares_neighbor) {
   EXPECT_TRUE(connected);
 
   // No chunk leaked anywhere, the retired rogue channel included.
-  for (const auto vm : rig.engine().attached_vms()) {
-    auto* ch = rig.engine().channel_of(vm);
-    EXPECT_EQ(ch->pool.chunks_free(), ch->pool.chunk_count());
-  }
+  EXPECT_EQ(rig.engine().audit().violations(), "");
 }
 
 TEST(netkernel_firewall, probation_expiry_lifts_quarantine) {
@@ -1255,6 +1227,78 @@ TEST(netkernel_firewall, manual_readmit_clears_permanent_quarantine) {
   EXPECT_FALSE(rig.engine().quarantined(rig.rogue_id()));
   // Nothing left to parole.
   EXPECT_FALSE(rig.engine().readmit_vm(rig.rogue_id()));
+}
+
+// --- accounting audit (DESIGN.md §14) ------------------------------------------
+
+// The audit is not vacuous: one chunk held outside the pipeline is exactly
+// one leak, on a live pool and on the retired pool of a detached VM alike.
+TEST(core_audit, held_chunk_is_reported_on_live_and_retired_pools) {
+  nk_pair rig;
+  rig.bed.run_for(milliseconds(10));
+  core_engine& ce = rig.bed.netkernel(side::a);
+  EXPECT_EQ(ce.audit().violations(), "");
+  EXPECT_FALSE(ce.audit().pipeline_checked);  // tracing is off
+
+  auto* ch = ce.channel_of(rig.client.vm->id());
+  auto held = ch->pool.alloc();
+  ASSERT_TRUE(held.ok());
+  EXPECT_EQ(ce.audit().leaked(), 1);
+  EXPECT_FALSE(ce.audit().clean());
+  ASSERT_TRUE(ch->pool.free(held.value()).ok());
+  EXPECT_EQ(ce.audit().violations(), "");
+
+  // Detach while a chunk is held: the pool retires with the attachment and
+  // the audit still counts it.
+  held = ch->pool.alloc();
+  ASSERT_TRUE(held.ok());
+  ce.detach_vm(rig.client.vm->id());
+  rig.bed.run_for(milliseconds(10));
+  const audit_report books = ce.audit();
+  ASSERT_EQ(books.pools.size(), 1u);
+  EXPECT_TRUE(books.pools[0].retired);
+  EXPECT_EQ(books.leaked(), 1);
+  EXPECT_NE(books.violations().find("(retired): 1 of"), std::string::npos);
+}
+
+// A lossy two-host bulk run with every nqe traced. The wire drops packets
+// from the seeded simulator rng, so the run really depends on its seed.
+std::array<std::string, 2> lossy_bulk_registries(std::uint64_t seed) {
+  nk_pair rig{tcp::cc_algorithm::cubic, seed, [](apps::testbed_params& p) {
+                p.wire.loss_rate = 0.01;
+                p.netkernel.trace.enabled = true;
+                p.netkernel.trace.max_active = 1 << 16;
+              }};
+  apps::bulk_sink sink{*rig.server.api, 5001, /*validate=*/true};
+  sink.start();
+  apps::bulk_sender_config scfg;
+  scfg.flows = 2;
+  scfg.bytes_per_flow = 256 * 1024;
+  apps::bulk_sender sender{
+      *rig.client.api, {rig.server.module->config().address, 5001}, scfg};
+  sender.start();
+  rig.bed.run_for(milliseconds(300));
+  EXPECT_EQ(sender.flows_done(), 2);
+  EXPECT_TRUE(sink.pattern_ok());
+
+  std::array<std::string, 2> out;
+  for (const side end : {side::a, side::b}) {
+    const core_engine& ce = rig.bed.netkernel(end);
+    EXPECT_EQ(ce.audit().violations(), "");
+#ifndef NK_NO_TRACING
+    EXPECT_TRUE(ce.audit().pipeline_checked);
+#endif
+    out[end == side::a ? 0 : 1] = ce.metrics().to_json();
+  }
+  return out;
+}
+
+TEST(determinism, same_seed_gives_byte_identical_registries) {
+  const auto first = lossy_bulk_registries(5);
+  const auto again = lossy_bulk_registries(5);
+  EXPECT_TRUE(first == again) << "same seed, different registry JSON";
+  const auto other = lossy_bulk_registries(6);
+  EXPECT_TRUE(first != other) << "registry JSON does not depend on the seed";
 }
 
 }  // namespace

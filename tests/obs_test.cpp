@@ -597,13 +597,8 @@ TEST(nqe_tracing, stage_pair_attribution_in_both_exports) {
   EXPECT_EQ(cp.find("\"critical\":\"none\""), std::string::npos);
 
   // Attribution must not disturb the tracer's accounting invariant.
-  const auto& m = ce.metrics();
-  const double unaccounted =
-      m.value_of("engine_unroutable_nqes").value_or(0.0) +
-      m.value_of("engine_nqes_dropped").value_or(0.0) +
-      m.value_of("engine_stale_nqes").value_or(0.0) -
-      m.value_of("nqe_traces_dropped").value_or(0.0);
-  EXPECT_EQ(unaccounted, 0.0);
+  EXPECT_TRUE(ce.audit().pipeline_checked);
+  EXPECT_EQ(ce.audit().violations(), "");
 }
 
 // --- flight recorder through the monitor (ISSUE 5 tentpole) --------------------

@@ -200,19 +200,7 @@ TEST(tenant_quota, invariants_hold_under_throttling) {
   EXPECT_EQ(sink.flows_finished(), 2u);
 
   for (auto* engine : {&q.bed.netkernel(side::a), &q.bed.netkernel(side::b)}) {
-    for (const auto vm : engine->attached_vms()) {
-      auto* ch = engine->channel_of(vm);
-      EXPECT_EQ(ch->pool.chunk_count(), ch->pool.chunks_free())
-          << "chunk leak on vm " << vm;
-    }
-    for (std::size_t s = 0; s < engine->shards(); ++s) {
-      const auto& st = engine->shard_stats(s);
-      EXPECT_EQ(st.unroutable_nqes + st.nqes_dropped + st.stale_nqes +
-                    st.rejected_nqes,
-                engine->shard_traces_dropped(s) +
-                    engine->shard_discards_untraced(s))
-          << "shard " << s;
-    }
+    EXPECT_EQ(engine->audit().violations(), "");
   }
 }
 
