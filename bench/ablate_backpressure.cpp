@@ -6,7 +6,9 @@
 // forces every layer — ServiceLib out-rings, CoreEngine staging, GuestLib
 // job deferral — to absorb the burst instead. The invariant under test:
 // whatever the depth, no huge-page chunk leaks and no nqe vanishes without
-// being counted (deferred-and-delivered, or dropped and traced).
+// being counted (deferred-and-delivered, or dropped and traced). Exits
+// nonzero when any depth's audit() is not clean or fails to complete every
+// query.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -18,6 +20,8 @@ namespace {
 
 using namespace nk;
 using apps::side;
+
+constexpr int queries = 20;
 
 struct outcome {
   int completed = 0;
@@ -57,7 +61,7 @@ outcome run(std::size_t depth, std::uint64_t seed) {
   apps::incast_config icfg;
   icfg.fanout = 16;
   icfg.response_size = 32 * 1024;
-  icfg.queries = 20;
+  icfg.queries = queries;
   apps::incast_worker_service service{*workers.api, 7000, icfg.response_size};
   service.start();
   apps::incast_aggregator aggregator{
@@ -93,6 +97,7 @@ int main() {
 
   std::string json = "[\n";
   bool first = true;
+  bool ok = true;
   for (const std::size_t depth : {8, 64, 4096}) {
     const outcome o = run(depth, 900 + depth);
     const long long leaked = o.books.leaked();
@@ -102,6 +107,12 @@ int main() {
                 depth, o.completed, o.p99_us, o.deferred, o.dropped,
                 o.unroutable, leaked, unaccounted);
     std::fputs(o.books.violations().c_str(), stderr);
+    if (!o.books.clean() || o.completed < queries) {
+      std::fprintf(stderr, "FAIL: depth %zu: %d of %d queries, audit %s\n",
+                   depth, o.completed, queries,
+                   o.books.clean() ? "clean" : "not clean");
+      ok = false;
+    }
     char buf[512];
     std::snprintf(buf, sizeof(buf),
                   "  {\"depth\": %zu, \"completed\": %d, \"p99_us\": %.1f, "
@@ -120,5 +131,5 @@ int main() {
   std::ofstream out{"ablate_backpressure.json"};
   out << json;
   std::printf("\nper-depth snapshots: ablate_backpressure.json\n");
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -74,7 +74,9 @@ struct channel {
   // Lifetime nqe counters, kept per lane so the forwarding hot path never
   // writes a cache line another shard also writes.
   void count_vm_to_nsm(std::size_t shard) { ++lanes_[shard].vm_to_nsm; }
-  void count_nsm_to_vm(std::size_t shard) { ++lanes_[shard].nsm_to_vm; }
+  void count_nsm_to_vm(std::size_t shard, std::uint64_t n = 1) {
+    lanes_[shard].nsm_to_vm += n;
+  }
   [[nodiscard]] std::uint64_t nqes_vm_to_nsm() const {
     std::uint64_t n = 0;
     for (const auto& lane : lanes_) n += lane.vm_to_nsm;

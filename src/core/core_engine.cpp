@@ -441,8 +441,8 @@ void core_engine::publish_stat_page(attachment& att, bool freeze) {
   if (freeze) snap.vm.flags |= shm::stat_frozen;
   snap.vm.job_ring_depth = att.ch->vm_job_depth();
   for (const auto& ln : att.lanes) {
-    snap.vm.staged_jobs += ln.stage->to_nsm.size();
-    snap.vm.staged_completions += ln.stage->to_vm_depth();
+    snap.vm.staged_jobs += ln.to_nsm.size();
+    snap.vm.staged_completions += ln.to_vm_depth();
   }
   if (att.glib) {
     const guest_lib_stats& gs = att.glib->stats();
@@ -542,11 +542,10 @@ guest_lib& core_engine::attach_vm(virt::machine& vm, nsm& module) {
                                      host_.next_region_key(), cfg_.channel,
                                      shards_.size());
   // One lane per engine shard: each shard's pumps drain only its own ring
-  // set and re-drain only its own overflow stage.
-  att.lanes.resize(shards_.size());
+  // set and re-drain only its own overflow stages.
+  att.lanes.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    lane& ln = att.lanes[s];
-    ln.stage = std::make_unique<overflow_stage>();
+    lane& ln = att.lanes.emplace_back(*att.ch, s, cfg_.overflow_limit);
     ln.next_accept_fd =
         accept_fd_base + static_cast<std::uint32_t>(s) * accept_fd_stride;
     ln.vm_to_nsm = std::make_unique<queue_pump>(
@@ -602,23 +601,6 @@ guest_lib& core_engine::attach_vm(virt::machine& vm, nsm& module) {
   metrics_.register_gauge_fn(p + "_pool_chunks_free", [ch] {
     return static_cast<double>(ch->pool.chunks_free());
   });
-  // Staged (overflowed) depth per direction; nonzero means a ring filled
-  // and the engine is carrying the excess until the consumer catches up.
-  // The stages are heap-allocated, so capturing their addresses survives
-  // rehashes of attachments_.
-  std::vector<const overflow_stage*> stages;
-  stages.reserve(att.lanes.size());
-  for (const auto& ln : att.lanes) stages.push_back(ln.stage.get());
-  metrics_.register_gauge_fn(p + "_staged_to_nsm", [stages] {
-    std::size_t d = 0;
-    for (const auto* st : stages) d += st->to_nsm.size();
-    return static_cast<double>(d);
-  });
-  metrics_.register_gauge_fn(p + "_staged_to_vm", [stages] {
-    std::size_t d = 0;
-    for (const auto* st : stages) d += st->to_vm_depth();
-    return static_cast<double>(d);
-  });
   metrics_.register_gauge_fn(p + "_nsm_staged_out", [service, id = vm.id()] {
     return static_cast<double>(service->staged_depth(id));
   });
@@ -636,8 +618,8 @@ guest_lib& core_engine::attach_vm(virt::machine& vm, nsm& module) {
                                    service->chunk_quota_used(id));
                              });
 
-  // Abuse record + firewall gauges. Heap-allocated like the overflow
-  // stages, so the closures stay valid across rehashes of attachments_.
+  // Abuse record + firewall gauges. Heap-allocated, so the closures stay
+  // valid when the attachment moves into attachments_.
   att.abuse = std::make_unique<abuse_state>(make_violation_budget(),
                                             make_stat_refresh_budget());
   abuse_state* ab = att.abuse.get();
@@ -652,6 +634,21 @@ guest_lib& core_engine::attach_vm(virt::machine& vm, nsm& module) {
   });
 
   auto [it, inserted] = attachments_.emplace(vm.id(), std::move(att));
+  // Staged (overflowed) depth per direction; nonzero means a ring filled
+  // and the engine is carrying the excess until the consumer catches up.
+  // The map node never moves, and detach_vm unregisters these gauges
+  // before it retires the attachment.
+  const std::vector<lane>* lanes = &it->second.lanes;
+  metrics_.register_gauge_fn(p + "_staged_to_nsm", [lanes] {
+    std::size_t d = 0;
+    for (const auto& ln : *lanes) d += ln.to_nsm.size();
+    return static_cast<double>(d);
+  });
+  metrics_.register_gauge_fn(p + "_staged_to_vm", [lanes] {
+    std::size_t d = 0;
+    for (const auto& ln : *lanes) d += ln.to_vm_depth();
+    return static_cast<double>(d);
+  });
   // A VM re-attaching under an active quarantine comes up barred: its job
   // lanes refuse to drain until probation expires (auto-readmit below) or
   // readmit_vm() paroles it early.
@@ -688,15 +685,17 @@ void core_engine::notify_vm_space(virt::vm_id vm, std::size_t shard) {
 
 // --- overflow staging ------------------------------------------------------------
 
-void core_engine::defer_or_drop(attachment& att, std::size_t s,
-                                std::deque<shm::nqe>& stage,
-                                const shm::nqe& e) {
+bool core_engine::stage_push(attachment& att, std::size_t s,
+                             shm::lane_stage& stage, const shm::nqe& e) {
   engine_shard& sh = shards_[s];
-  if (stage.size() < cfg_.overflow_limit ||
-      !shm::droppable_on_overflow(e.op)) {
-    stage.push_back(e);
-    ++sh.stats.nqes_deferred;
-    return;
+  switch (stage.push(e)) {
+    case shm::lane_stage::outcome::pushed:
+      return true;
+    case shm::lane_stage::outcome::staged:
+      ++sh.stats.nqes_deferred;
+      return false;
+    case shm::lane_stage::outcome::refused:
+      break;
   }
   // Hard cap: discard pure data, recycle its chunk, count the loss. The
   // pipeline never gets here while gating works (pops stop when a stage
@@ -704,41 +703,14 @@ void core_engine::defer_or_drop(attachment& att, std::size_t s,
   ++sh.stats.nqes_dropped;
   drop_trace(sh, e.reserved);
   if (!e.desc.empty()) (void)att.ch->pool.free(e.desc.chunk);
-}
-
-std::size_t core_engine::flush_stage_to_nsm(attachment& att, std::size_t s) {
-  auto& stage = att.lanes[s].stage->to_nsm;
-  std::size_t n = 0;
-  while (!stage.empty() && att.ch->nsm_q(s).job.push(stage.front())) {
-    stage.pop_front();
-    ++n;
-  }
-  if (n > 0) {
-    if (auto* service = service_of(att.module->id())) service->notify();
-  }
-  return n;
-}
-
-std::size_t core_engine::flush_stage_to_vm(attachment& att, std::size_t s) {
-  std::size_t n = 0;
-  auto flush_one = [&](std::deque<shm::nqe>& stage, shm::nqe_queue& ring) {
-    while (!stage.empty() && ring.push(stage.front())) {
-      stage.pop_front();
-      att.ch->count_nsm_to_vm(s);
-      ++n;
-    }
-  };
-  flush_one(att.lanes[s].stage->completion, att.ch->vm_q(s).completion);
-  flush_one(att.lanes[s].stage->receive, att.ch->vm_q(s).receive);
-  if (n > 0 && att.glib) att.glib->notify();
-  return n;
+  return false;
 }
 
 // --- VM -> NSM direction ---------------------------------------------------------
 
 std::size_t core_engine::drain_vm_jobs(attachment& att, std::size_t s) {
   NK_PROF("core_engine", "pump_fwd");
-  abuse_state* ab = cfg_.firewall.enabled ? att.abuse.get() : nullptr;
+  abuse_state* ab = att.abuse.get();
   std::size_t batch = drain_batch;
   if (ab != nullptr) {
     if (ab->level == abuse_level::quarantined) return 0;
@@ -774,7 +746,11 @@ std::size_t core_engine::drain_vm_jobs(attachment& att, std::size_t s) {
     }
   }
   // Overflowed nqes first: they are older than anything still in the ring.
-  std::size_t n = flush_stage_to_nsm(att, s);
+  lane& ln = att.lanes[s];
+  std::size_t n = ln.to_nsm.flush();
+  if (n > 0) {
+    if (auto* service = service_of(att.module->id())) service->notify();
+  }
   shm::nqe e;
   std::size_t popped = 0;
   sim::cpu_core* core = shards_[s].core;
@@ -783,8 +759,7 @@ std::size_t core_engine::drain_vm_jobs(attachment& att, std::size_t s) {
   // then fills and GuestLib's would_block machinery pushes back on the app.
   // Likewise once the shard core's copy backlog passes the bound: further
   // pops would just park nqes in its infinite FIFO, hiding the pressure.
-  while (n < batch &&
-         att.lanes[s].stage->to_nsm.size() < cfg_.overflow_limit) {
+  while (n < batch && ln.to_nsm.size() < cfg_.overflow_limit) {
     if (core != nullptr && core->backlog() > pump_backlog_bound) {
       gated = true;
       break;
@@ -833,7 +808,7 @@ void core_engine::forward_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
     // the engine — never forwarded to the NSM, no completion generated.
     // Floods past the per-VM refresh budget are firewall violations like
     // any other (a refresh walks the flow table, so it is cheap, not free).
-    if (cfg_.firewall.enabled && att.abuse != nullptr &&
+    if (att.abuse != nullptr &&
         !att.abuse->stat_refresh.try_consume(sim_.now(), 1)) {
       reject_nqe(att, s, e, reject_reason::badop);
       return;
@@ -853,7 +828,7 @@ void core_engine::forward_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
     // Exec-time fd gate: minting a socket over a live fd or inside the
     // engine-owned accept range is a forgery. Pop-time validation cannot
     // see this — mappings install asynchronously as the batch executes.
-    if (cfg_.firewall.enabled && att.abuse != nullptr &&
+    if (att.abuse != nullptr &&
         (fd >= accept_fd_base || shard_of(vm, fd).has_value())) {
       reject_nqe(att, s, e, reject_reason::badfd);
       return;
@@ -880,7 +855,7 @@ void core_engine::forward_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
     // naming no flow of this VM is refused by the firewall.
     const bool benign = e.op == shm::nqe_op::req_recv_window ||
                         e.op == shm::nqe_op::req_close;
-    if (cfg_.firewall.enabled && att.abuse != nullptr && !benign) {
+    if (att.abuse != nullptr && !benign) {
       reject_nqe(att, s, e, reject_reason::badfd);
       return;
     }
@@ -888,10 +863,7 @@ void core_engine::forward_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
     drop_trace(sh, e.reserved);
     // A data-bearing request for an unknown flow still owns a huge-page
     // chunk; recycle it or the pool leaks.
-    if ((e.op == shm::nqe_op::req_send ||
-         e.op == shm::nqe_op::req_udp_send ||
-         e.op == shm::nqe_op::req_recv_window) &&
-        !e.desc.empty()) {
+    if (shm::carries_chunk(e.op) && !e.desc.empty()) {
       (void)att.ch->pool.free(e.desc.chunk);
     }
     deliver_error_to_vm(att, s, fd, errc::not_found);
@@ -937,68 +909,70 @@ void core_engine::forward_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
 void core_engine::deliver_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
   e.epoch = att.epoch;  // jobs carry the incarnation they were meant for
   tracer_.stamp(e.reserved, obs::nqe_stage::engine_copy_fwd);
-  // Staged nqes go first (FIFO): never let a new push overtake them.
-  auto& stage = att.lanes[s].stage->to_nsm;
-  if (!stage.empty() || !att.ch->nsm_q(s).job.push(e)) {
-    defer_or_drop(att, s, stage, e);
+  if (stage_push(att, s, att.lanes[s].to_nsm, e)) {
+    if (auto* service = service_of(att.module->id())) service->notify();
+  }
+}
+
+void core_engine::deliver_to_vm(attachment& att, std::size_t s,
+                                const shm::nqe& e, bool receive_queue) {
+  // A failed push must not count as delivered, and a critical nqe (a
+  // cmp_socket carrying the flow's cID, a cmp_send releasing credit, an
+  // ev_error) must survive a full ring — it stages and flushes in order.
+  lane& ln = att.lanes[s];
+  if (!stage_push(att, s, receive_queue ? ln.receive : ln.completion, e)) {
     return;
   }
-  if (auto* service = service_of(att.module->id())) service->notify();
+  att.ch->count_nsm_to_vm(s);
+  if (att.glib) att.glib->notify();
 }
 
 // --- NSM -> VM direction -----------------------------------------------------------
 
 std::size_t core_engine::drain_nsm_queues(attachment& att, std::size_t s) {
   NK_PROF("core_engine", "pump_rev");
-  // Overflowed completions/events first, then new work — but only while
-  // the VM-side stage stays below the limit; beyond it, leave nqes in the
-  // NSM rings so ServiceLib sees the pressure and stalls its reads.
-  std::size_t n = flush_stage_to_vm(att, s);
+  // Overflowed completions/events first (completions before events, one
+  // doorbell), then new work — but only while the VM-side stages stay below
+  // the limit; beyond it, leave nqes in the NSM rings so ServiceLib sees the
+  // pressure and stalls its reads.
+  lane& ln = att.lanes[s];
+  std::size_t n = ln.completion.flush();
+  n += ln.receive.flush();
+  if (n > 0) {
+    att.ch->count_nsm_to_vm(s, n);
+    if (att.glib) att.glib->notify();
+  }
   shm::nqe e;
   std::size_t popped = 0;
   sim::cpu_core* core = shards_[s].core;
-  overflow_stage& stage = *att.lanes[s].stage;
   bool gated = false;
   // Completions first, then events; the shard core keeps this order
   // downstream. The same backlog gate as the forward pump applies: past the
   // bound, nqes — and the chunks ev_data descriptors pin — stay in the NSM
   // rings where ServiceLib can see and react to the pressure.
-  while (n < drain_batch && stage.to_vm_depth() < cfg_.overflow_limit) {
-    if (core != nullptr && core->backlog() > pump_backlog_bound) {
-      gated = true;
-      break;
-    }
-    if (!att.ch->nsm_q(s).completion.pop(e)) break;
-    ++n;
-    ++popped;
-    tracer_.stamp(e.reserved, obs::nqe_stage::nsm_out_dwell);
-    if (core != nullptr) {
-      core->execute(cfg_.costs.nqe_copy, [this, id = att.vm->id(), s, e] {
-        if (auto it = attachments_.find(id); it != attachments_.end()) {
-          forward_to_vm(it->second, s, e, false);
-        }
-      });
-    } else {
-      forward_to_vm(att, s, e, false);
-    }
-  }
-  while (n < drain_batch && stage.to_vm_depth() < cfg_.overflow_limit) {
-    if (core != nullptr && core->backlog() > pump_backlog_bound) {
-      gated = true;
-      break;
-    }
-    if (!att.ch->nsm_q(s).receive.pop(e)) break;
-    ++n;
-    ++popped;
-    tracer_.stamp(e.reserved, obs::nqe_stage::nsm_out_dwell);
-    if (core != nullptr) {
-      core->execute(cfg_.costs.nqe_copy, [this, id = att.vm->id(), s, e] {
-        if (auto it = attachments_.find(id); it != attachments_.end()) {
-          forward_to_vm(it->second, s, e, true);
-        }
-      });
-    } else {
-      forward_to_vm(att, s, e, true);
+  for (const bool receive : {false, true}) {
+    shm::nqe_queue& ring =
+        receive ? att.ch->nsm_q(s).receive : att.ch->nsm_q(s).completion;
+    while (n < drain_batch && ln.to_vm_depth() < cfg_.overflow_limit) {
+      if (core != nullptr && core->backlog() > pump_backlog_bound) {
+        gated = true;
+        break;
+      }
+      if (!ring.pop(e)) break;
+      ++n;
+      ++popped;
+      tracer_.stamp(e.reserved, obs::nqe_stage::nsm_out_dwell);
+      if (core != nullptr) {
+        core->execute(cfg_.costs.nqe_copy,
+                      [this, id = att.vm->id(), s, e, receive] {
+                        if (auto it = attachments_.find(id);
+                            it != attachments_.end()) {
+                          forward_to_vm(it->second, s, e, receive);
+                        }
+                      });
+      } else {
+        forward_to_vm(att, s, e, receive);
+      }
     }
   }
   // NSM-ring slots opened up: ServiceLib may have staged output to flush.
@@ -1116,9 +1090,7 @@ void core_engine::forward_to_vm(attachment& att, std::size_t s, shm::nqe e,
         ++sh.stats.unroutable_nqes;
         drop_trace(sh, e.reserved);
         // Data events for an already-closed flow carry chunks; recycle.
-        if ((e.op == shm::nqe_op::ev_data ||
-             e.op == shm::nqe_op::ev_udp_data) &&
-            !e.desc.empty()) {
+        if (shm::carries_chunk(e.op) && !e.desc.empty()) {
           (void)att.ch->pool.free(e.desc.chunk);
         }
         return;
@@ -1135,19 +1107,7 @@ void core_engine::forward_to_vm(attachment& att, std::size_t s, shm::nqe e,
   }
 
   tracer_.stamp(e.reserved, obs::nqe_stage::engine_copy_rev);
-  auto& queue =
-      receive_queue ? att.ch->vm_q(s).receive : att.ch->vm_q(s).completion;
-  auto& stage =
-      receive_queue ? att.lanes[s].stage->receive : att.lanes[s].stage->completion;
-  // A failed push must not count as delivered, and a critical nqe (a
-  // cmp_socket carrying the flow's cID, a cmp_send releasing credit) must
-  // survive a full ring — it parks in the stage and flushes in order.
-  if (!stage.empty() || !queue.push(e)) {
-    defer_or_drop(att, s, stage, e);
-    return;
-  }
-  att.ch->count_nsm_to_vm(s);
-  if (att.glib) att.glib->notify();
+  deliver_to_vm(att, s, e, receive_queue);
 }
 
 // --- fault domains: detach, replacement, recovery -----------------------------------
@@ -1157,16 +1117,8 @@ void core_engine::discard_stale(attachment& att, std::size_t s,
   engine_shard& sh = shards_[s];
   ++sh.stats.stale_nqes;
   drop_trace(sh, e.reserved);
-  switch (e.op) {
-    case shm::nqe_op::req_send:
-    case shm::nqe_op::req_udp_send:
-    case shm::nqe_op::req_recv_window:
-    case shm::nqe_op::ev_data:
-    case shm::nqe_op::ev_udp_data:
-      if (!e.desc.empty()) (void)att.ch->pool.free(e.desc.chunk);
-      break;
-    default:
-      break;
+  if (shm::carries_chunk(e.op) && !e.desc.empty()) {
+    (void)att.ch->pool.free(e.desc.chunk);
   }
 }
 
@@ -1182,13 +1134,7 @@ void core_engine::deliver_error_to_vm(attachment& att, std::size_t s,
   // usually has no mapping left (that is why an error is being
   // synthesized), so the translating path cannot route it. ev_error is not
   // droppable; a full ring stages it.
-  auto& stage = att.lanes[s].stage->receive;
-  if (!stage.empty() || !att.ch->vm_q(s).receive.push(e)) {
-    defer_or_drop(att, s, stage, e);
-    return;
-  }
-  att.ch->count_nsm_to_vm(s);
-  if (att.glib) att.glib->notify();
+  deliver_to_vm(att, s, e, /*receive_queue=*/true);
 }
 
 // --- admission firewall + abuse quarantine (DESIGN.md §14) --------------------
@@ -1212,10 +1158,7 @@ std::optional<reject_reason> core_engine::admit_vm_nqe(
   // live chunk, offset+length inside the chunk); every other op must carry
   // none — a valid desc smuggled onto a control op is how a guest would
   // trick a downstream free into recycling someone else's credit.
-  const bool data_op = e.op == shm::nqe_op::req_send ||
-                       e.op == shm::nqe_op::req_udp_send ||
-                       e.op == shm::nqe_op::req_recv_window;
-  if (data_op) {
+  if (shm::carries_chunk(e.op)) {
     if (e.desc.empty() || !att.ch->pool.readable(e.desc)) {
       return reject_reason::badchunk;
     }
@@ -1383,16 +1326,8 @@ void core_engine::detach_vm(virt::vm_id vm) {
   auto discard = [&](engine_shard& sh, const shm::nqe& e) {
     ++sh.stats.nqes_dropped;
     drop_trace(sh, e.reserved);
-    switch (e.op) {
-      case shm::nqe_op::req_send:
-      case shm::nqe_op::req_udp_send:
-      case shm::nqe_op::req_recv_window:
-      case shm::nqe_op::ev_data:
-      case shm::nqe_op::ev_udp_data:
-        if (!e.desc.empty()) (void)att.ch->pool.free(e.desc.chunk);
-        break;
-      default:
-        break;
+    if (shm::carries_chunk(e.op) && !e.desc.empty()) {
+      (void)att.ch->pool.free(e.desc.chunk);
     }
   };
 
@@ -1427,13 +1362,10 @@ void core_engine::detach_vm(virt::vm_id vm) {
     scrub_ring(att.ch->nsm_q(s).job);
     scrub_ring(att.ch->nsm_q(s).completion);
     scrub_ring(att.ch->nsm_q(s).receive);
-    overflow_stage& stage = *att.lanes[s].stage;
-    for (const auto& e : stage.to_nsm) discard(sh, e);
-    for (const auto& e : stage.completion) discard(sh, e);
-    for (const auto& e : stage.receive) discard(sh, e);
-    stage.to_nsm.clear();
-    stage.completion.clear();
-    stage.receive.clear();
+    lane& ln = att.lanes[s];
+    for (shm::lane_stage* stage : {&ln.to_nsm, &ln.completion, &ln.receive}) {
+      for (const auto& e : stage->take_all()) discard(sh, e);
+    }
   }
 
   metrics_.unregister_prefix("vm" + std::to_string(vm) + "_");
@@ -1460,8 +1392,8 @@ std::size_t core_engine::rebalance_vm(virt::vm_id vm, std::size_t to_shard) {
         !nq.completion.empty_approx() || !nq.receive.empty_approx()) {
       return 0;
     }
-    const overflow_stage& stage = *att.lanes[s].stage;
-    if (!stage.to_nsm.empty() || stage.to_vm_depth() != 0) return 0;
+    const lane& ln = att.lanes[s];
+    if (!ln.to_nsm.empty() || ln.to_vm_depth() != 0) return 0;
     if (shards_[s].core != nullptr &&
         shards_[s].core->backlog() > sim_time::zero()) {
       return 0;
@@ -1552,13 +1484,7 @@ void core_engine::try_planned_switch(nsm_id old_id, nsm_id new_id,
   bool stages_clear = true;
   for (const auto& [vm, att] : attachments_) {
     if (att.module == nullptr || att.module->id() != old_id) continue;
-    for (const auto& ln : att.lanes) {
-      if (!ln.stage->to_nsm.empty()) {
-        stages_clear = false;
-        break;
-      }
-    }
-    if (!stages_clear) break;
+    for (const auto& ln : att.lanes) stages_clear &= ln.to_nsm.empty();
   }
   const bool drained =
       stages_clear && (old_service == nullptr || old_service->quiescent());
@@ -1631,9 +1557,9 @@ void core_engine::switch_over(nsm_id old_id, nsm_id new_id, sim_time started) {
     // outputs — is discarded with accounting instead of being misapplied.
     ++att.epoch;
     for (std::size_t s = 0; s < att.lanes.size(); ++s) {
-      auto& stage = att.lanes[s].stage->to_nsm;
-      for (const auto& e : stage) discard_stale(att, s, e);
-      stage.clear();
+      for (const auto& e : att.lanes[s].to_nsm.take_all()) {
+        discard_stale(att, s, e);
+      }
       // Purge the job ring too: everything in it was addressed to the dead
       // incarnation, and replayed control ops must not queue behind a ring
       // full of doomed work (a slow drain there would delay the recovered

@@ -49,6 +49,7 @@
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
+#include "shm/lane_stage.hpp"
 #include "shm/steering.hpp"
 #include "virt/hypervisor.hpp"
 
@@ -60,7 +61,6 @@ namespace nk::core {
 // feed a per-VM token-bucket violation budget that escalates
 // warn -> throttle -> quarantine.
 struct firewall_config {
-  bool enabled = true;
   // Violation budget: refill rate (violations/sec) and burst depth. While
   // the bucket has tokens a violation only costs a token (warn); once it
   // runs dry the VM is throttled, and `quarantine_threshold` further
@@ -444,21 +444,6 @@ class core_engine {
     // deliberately not journaled — it dies with the module.
     std::vector<shm::nqe> journal;
   };
-  // Per-direction overflow staging (the backpressure subsystem). Rings are
-  // fixed-size shared memory and cannot grow; when a push meets a full ring
-  // the nqe parks here and the owning pump re-drains it — in order, before
-  // accepting new work — once the consumer frees slots. Heap-allocated so
-  // the metrics gauges can hold a stable pointer across rehashes of
-  // `attachments_`.
-  struct overflow_stage {
-    std::deque<shm::nqe> to_nsm;      // nsm_q.job overflow (VM -> NSM)
-    std::deque<shm::nqe> completion;  // vm_q.completion overflow (NSM -> VM)
-    std::deque<shm::nqe> receive;     // vm_q.receive overflow (NSM -> VM)
-    [[nodiscard]] std::size_t to_vm_depth() const {
-      return completion.size() + receive.size();
-    }
-  };
-
   // One engine shard: a partition of the mapping table, the core its pumps
   // charge, and its private accounting. Only control-plane code (introspection
   // joins, detach, failover, rebalance) ever looks across shards.
@@ -482,19 +467,29 @@ class core_engine {
   };
 
   // Per-attachment, per-shard plumbing: each lane owns the two pumps that
-  // drain its ring set and the overflow stage those pumps re-drain. fds for
-  // accepted connections are minted from a shard-local range so no shared
-  // counter sits on the accept path.
+  // drain its ring set and the overflow stages (DESIGN.md §8) in front of
+  // the rings it produces into, which those pumps re-drain — in order,
+  // before accepting new work. fds for accepted connections are minted from
+  // a shard-local range so no shared counter sits on the accept path.
   struct lane {
+    lane(channel& ch, std::size_t s, std::size_t cap)
+        : to_nsm{ch.nsm_q(s).job, cap},
+          completion{ch.vm_q(s).completion, cap},
+          receive{ch.vm_q(s).receive, cap} {}
+    [[nodiscard]] std::size_t to_vm_depth() const {
+      return completion.size() + receive.size();
+    }
+
     std::unique_ptr<queue_pump> vm_to_nsm;  // drains ch->vm_q(s).job
     std::unique_ptr<queue_pump> nsm_to_vm;  // drains ch->nsm_q(s).{cmp,recv}
-    std::unique_ptr<overflow_stage> stage;
+    shm::lane_stage to_nsm;      // VM -> NSM jobs
+    shm::lane_stage completion;  // NSM -> VM completions
+    shm::lane_stage receive;     // NSM -> VM events
     std::uint32_t next_accept_fd = 0;  // set per shard at attach
   };
 
   // Per-VM abuse record (heap-allocated: the metrics gauges capture a
-  // stable pointer across rehashes of `attachments_`, like the overflow
-  // stages).
+  // stable pointer before the attachment moves into `attachments_`).
   struct abuse_state {
     abuse_state(token_bucket b, token_bucket refresh)
         : budget{std::move(b)}, stat_refresh{std::move(refresh)} {}
@@ -563,6 +558,8 @@ class core_engine {
   void forward_to_vm(attachment& att, std::size_t s, shm::nqe e,
                      bool receive_queue);
   void deliver_to_nsm(attachment& att, std::size_t s, shm::nqe e);
+  void deliver_to_vm(attachment& att, std::size_t s, const shm::nqe& e,
+                     bool receive_queue);
 
   // Synthesizes an ev_error toward the guest on shard `s`, bypassing the
   // mapping table (the fd may have no live mapping — that is usually why it
@@ -581,12 +578,11 @@ class core_engine {
   // Discards an nqe from a dead incarnation: chunk recycled, drop traced.
   void discard_stale(attachment& att, std::size_t s, const shm::nqe& e);
 
-  // Overflow plumbing: park an nqe whose push failed (or drop it with full
-  // accounting once the stage hits the cap), and re-drain staged nqes.
-  void defer_or_drop(attachment& att, std::size_t s,
-                     std::deque<shm::nqe>& stage, const shm::nqe& e);
-  std::size_t flush_stage_to_nsm(attachment& att, std::size_t s);
-  std::size_t flush_stage_to_vm(attachment& att, std::size_t s);
+  // Pushes through one of lane `s`'s stages; true when the nqe went straight
+  // onto the ring. A staged nqe counts as deferred; one the stage refuses at
+  // its cap is dropped with full accounting.
+  bool stage_push(attachment& att, std::size_t s, shm::lane_stage& stage,
+                  const shm::nqe& e);
   // Tracer drop with shard attribution: a retired live trace lands in the
   // shard's slice of nqe_traces_dropped; a discard with no live trace (a
   // forged nqe with reserved=0, or a sampled-out one) is counted as

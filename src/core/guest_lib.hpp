@@ -35,6 +35,7 @@
 #include "core/costs.hpp"
 #include "core/notification.hpp"
 #include "obs/trace.hpp"
+#include "shm/lane_stage.hpp"
 #include "stack/netstack.hpp"
 #include "virt/machine.hpp"
 
@@ -175,7 +176,7 @@ class guest_lib {
   // Jobs staged locally across every lane (rebalance quiescence check).
   [[nodiscard]] std::size_t deferred_jobs() const {
     std::size_t n = 0;
-    for (const auto& lane : pending_lanes_) n += lane.size();
+    for (const auto& stage : job_stages_) n += stage.size();
     return n;
   }
 
@@ -231,10 +232,10 @@ class guest_lib {
   void submit(const g_socket& gs, shm::nqe e, sim_time extra_cost);
 
   // Job-ring overflow plumbing. enqueue_job never loses an nqe: a push that
-  // finds the lane's ring full lands in its pending list and is re-driven,
-  // in order, by flush_pending_jobs() on every drain.
+  // finds the lane's ring full lands in its stage (uncapped) and is
+  // re-driven, in order, by flush_job_stages() on every drain.
   void enqueue_job(std::size_t shard, shm::nqe e);
-  std::size_t flush_pending_jobs();
+  std::size_t flush_job_stages();
   void wake_writers();
   void recycle_chunk(const shm::nqe& e, std::size_t shard);
   // Outstanding bytes per socket before nk_send returns would_block.
@@ -243,7 +244,7 @@ class guest_lib {
   // starts seeing would_block on sends.
   static constexpr std::size_t max_deferred_jobs = 256;
   [[nodiscard]] bool lane_backlogged(std::size_t shard) const {
-    return pending_lanes_[shard].size() >= max_deferred_jobs;
+    return job_stages_[shard].size() >= max_deferred_jobs;
   }
   // Pending-op watchdog: arms a deadline after each req_connect submission;
   // on expiry the op is resubmitted (bounded) or failed with timed_out.
@@ -263,8 +264,8 @@ class guest_lib {
   obs::nqe_tracer* tracer_ = nullptr;
   std::unique_ptr<queue_pump> pump_;
 
-  // Per-lane overflow stage for vm_q(s).job, one per engine shard.
-  std::vector<std::deque<shm::nqe>> pending_lanes_;
+  // Overflow stage in front of vm_q(s).job, one per engine shard.
+  std::vector<shm::lane_stage> job_stages_;
   std::unordered_map<std::uint32_t, g_socket> sockets_;
   std::uint32_t next_fd_ = 3;
   std::size_t next_core_ = 0;

@@ -34,7 +34,10 @@ void service_lib::attach_channel(channel& ch,
   svm.ch = &ch;
   svm.notify_ce = std::move(notify_ce);
   svm.epoch = epoch;
-  svm.lanes.resize(ch.shards());
+  svm.lanes.reserve(ch.shards());
+  for (std::size_t s = 0; s < ch.shards(); ++s) {
+    svm.lanes.emplace_back(ch, s, overflow_limit_);
+  }
   vms_[ch.vm_id] = std::move(svm);
 }
 
@@ -42,13 +45,18 @@ void service_lib::set_flow_shard(std::uint32_t cid, std::size_t shard) {
   if (auto* ps = socket_by_cid(cid)) ps->shard = shard;
 }
 
-void service_lib::drop_staged(served_vm& svm, std::deque<shm::nqe>& staged) {
-  for (const auto& e : staged) {
-    ++stats_.nqes_dropped;
-    if (tracer_ != nullptr) tracer_->drop(e.reserved);
-    if (!e.desc.empty()) (void)svm.ch->pool.free(e.desc.chunk);
+void service_lib::drop_out(served_vm& svm, const shm::nqe& e) {
+  ++stats_.nqes_dropped;
+  if (tracer_ != nullptr) tracer_->drop(e.reserved);
+  if (!e.desc.empty()) (void)svm.ch->pool.free(e.desc.chunk);
+}
+
+void service_lib::drop_all_staged(served_vm& svm) {
+  for (auto& lane : svm.lanes) {
+    for (shm::lane_stage* stage : {&lane.completion, &lane.receive}) {
+      for (const auto& e : stage->take_all()) drop_out(svm, e);
+    }
   }
-  staged.clear();
 }
 
 void service_lib::detach_channel(virt::vm_id vm) {
@@ -56,10 +64,7 @@ void service_lib::detach_channel(virt::vm_id vm) {
   if (it == vms_.end()) return;
   served_vm& svm = it->second;
   // Staged out-nqes will never reach the departing VM; recycle their chunks.
-  for (auto& lane : svm.lanes) {
-    drop_staged(svm, lane.staged_completion);
-    drop_staged(svm, lane.staged_receive);
-  }
+  drop_all_staged(svm);
   // Close this VM's sockets on the stack and forget them.
   std::vector<std::uint32_t> cids;
   cids.reserve(sockets_.size());
@@ -104,10 +109,7 @@ void service_lib::fail() {
   // Staged completions/events reference huge-page chunks that will now
   // never be delivered; recycle them or the pool leaks across a failover.
   for (auto& [vm, svm] : vms_) {
-    for (auto& lane : svm.lanes) {
-      drop_staged(svm, lane.staged_completion);
-      drop_staged(svm, lane.staged_receive);
-    }
+    drop_all_staged(svm);
     svm.stalled_reads.clear();
   }
 }
@@ -133,9 +135,7 @@ std::vector<service_lib::flow_record> service_lib::flow_table() {
 bool service_lib::quiescent() const {
   for (const auto& [vm, svm] : vms_) {
     for (const auto& lane : svm.lanes) {
-      if (!lane.staged_completion.empty() || !lane.staged_receive.empty()) {
-        return false;
-      }
+      if (lane.size() != 0) return false;
     }
     if (svm.ch->nsm_job_depth() != 0 || svm.ch->nsm_out_depth() != 0) {
       return false;
@@ -244,12 +244,10 @@ bool service_lib::push_out(served_vm& svm, std::size_t shard, shm::nqe e,
   // The trace still begins so the loss is visible to the tracer — the
   // accounting invariant (losses == traced drops) must survive a crash.
   if (failed_) {
-    ++stats_.nqes_dropped;
     if (tracer_ != nullptr) {
       tracer_->maybe_begin(e, /*reverse=*/true, svm.ch->vm_id, nsm_.id());
-      tracer_->drop(e.reserved);
     }
-    if (!e.desc.empty()) (void)svm.ch->pool.free(e.desc.chunk);
+    drop_out(svm, e);
     return false;
   }
   // Pool-key isolation (DESIGN.md §14): an output descriptor must name the
@@ -271,47 +269,22 @@ bool service_lib::push_out(served_vm& svm, std::size_t shard, shm::nqe e,
   if (tracer_ != nullptr) {
     tracer_->maybe_begin(e, /*reverse=*/true, svm.ch->vm_id, nsm_.id());
   }
-  auto& ring =
-      receive ? svm.ch->nsm_q(shard).receive : svm.ch->nsm_q(shard).completion;
-  out_lane& lane = svm.lanes[shard];
-  auto& staged = receive ? lane.staged_receive : lane.staged_completion;
-  // Staged nqes flush first; a new push never overtakes them on its lane.
-  if (staged.empty() && ring.push(e)) {
-    svm.ch->count_nsm_to_vm(shard);
-    if (svm.notify_ce) svm.notify_ce(shard);
-    return true;
-  }
-  if (staged.size() < overflow_limit_ || !shm::droppable_on_overflow(e.op)) {
-    staged.push_back(e);
-    ++stats_.nqes_deferred;
-    return true;
+  out_stages& lane = svm.lanes[shard];
+  switch ((receive ? lane.receive : lane.completion).push(e)) {
+    case shm::lane_stage::outcome::pushed:
+      svm.ch->count_nsm_to_vm(shard);
+      if (svm.notify_ce) svm.notify_ce(shard);
+      return true;
+    case shm::lane_stage::outcome::staged:
+      ++stats_.nqes_deferred;
+      return true;
+    case shm::lane_stage::outcome::refused:
+      break;
   }
   // Hard cap: discard pure data with full accounting. The read paths stall
   // before this point, so reaching it means a pathological burst.
-  ++stats_.nqes_dropped;
-  if (tracer_ != nullptr) tracer_->drop(e.reserved);
-  if (!e.desc.empty()) (void)svm.ch->pool.free(e.desc.chunk);
+  drop_out(svm, e);
   return false;
-}
-
-std::size_t service_lib::flush_staged(served_vm& svm) {
-  std::size_t n = 0;
-  for (std::size_t s = 0; s < svm.lanes.size(); ++s) {
-    out_lane& lane = svm.lanes[s];
-    std::size_t lane_n = 0;
-    auto flush_one = [&](std::deque<shm::nqe>& staged, shm::nqe_queue& ring) {
-      while (!staged.empty() && ring.push(staged.front())) {
-        staged.pop_front();
-        svm.ch->count_nsm_to_vm(s);
-        ++lane_n;
-      }
-    };
-    flush_one(lane.staged_completion, svm.ch->nsm_q(s).completion);
-    flush_one(lane.staged_receive, svm.ch->nsm_q(s).receive);
-    if (lane_n > 0 && svm.notify_ce) svm.notify_ce(s);
-    n += lane_n;
-  }
-  return n;
 }
 
 void service_lib::maybe_resume_stalled(served_vm& svm) {
@@ -343,9 +316,7 @@ std::size_t service_lib::staged_depth(virt::vm_id vm) const {
   auto it = vms_.find(vm);
   if (it == vms_.end()) return 0;
   std::size_t n = 0;
-  for (const auto& lane : it->second.lanes) {
-    n += lane.staged_completion.size() + lane.staged_receive.size();
-  }
+  for (const auto& lane : it->second.lanes) n += lane.size();
   return n;
 }
 
@@ -390,9 +361,17 @@ std::size_t service_lib::drain_jobs() {
   std::size_t total = 0;
   bool left_behind = false;
   for (auto& [vm, svm] : vms_) {
-    // Re-drain overflowed out-nqes before taking on new work, and resume
-    // reads the cleared pressure had stalled.
-    total += flush_staged(svm);
+    // Re-drain overflowed out-nqes before taking on new work (completions
+    // before receives, one doorbell per lane), and resume reads the cleared
+    // pressure had stalled.
+    for (std::size_t s = 0; s < svm.lanes.size(); ++s) {
+      std::size_t lane_n = svm.lanes[s].completion.flush();
+      lane_n += svm.lanes[s].receive.flush();
+      if (lane_n == 0) continue;
+      svm.ch->count_nsm_to_vm(s, lane_n);
+      if (svm.notify_ce) svm.notify_ce(s);
+      total += lane_n;
+    }
     maybe_resume_stalled(svm);
     if (cycle_budget_exhausted(svm)) {
       // Budget spent: jobs wait in the rings (pure backpressure, no drop);
@@ -473,9 +452,7 @@ std::size_t service_lib::drain_jobs() {
 void service_lib::discard_stale(served_vm& svm, const shm::nqe& e) {
   ++stats_.stale_nqes;
   if (tracer_ != nullptr) tracer_->drop(e.reserved);
-  if ((e.op == shm::nqe_op::req_send || e.op == shm::nqe_op::req_udp_send ||
-       e.op == shm::nqe_op::req_recv_window) &&
-      !e.desc.empty()) {
+  if (shm::carries_chunk(e.op) && !e.desc.empty()) {
     (void)svm.ch->pool.free(e.desc.chunk);
   }
 }

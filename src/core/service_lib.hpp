@@ -25,6 +25,7 @@
 #include "core/nsm.hpp"
 #include "core/sla.hpp"
 #include "obs/trace.hpp"
+#include "shm/lane_stage.hpp"
 
 namespace nk::core {
 
@@ -153,11 +154,17 @@ class service_lib {
   [[nodiscard]] std::uint64_t chunk_quota_used(virt::vm_id vm) const;
 
  private:
-  // Out-ring overflow staging for one shard lane: flushed, in order, before
-  // any new push to that lane.
-  struct out_lane {
-    std::deque<shm::nqe> staged_completion;
-    std::deque<shm::nqe> staged_receive;
+  // Overflow stages in front of one shard lane's out-rings, capped at
+  // overflow_limit: flushed, in order, before any new push to that lane.
+  struct out_stages {
+    out_stages(channel& ch, std::size_t s, std::size_t cap)
+        : completion{ch.nsm_q(s).completion, cap},
+          receive{ch.nsm_q(s).receive, cap} {}
+    shm::lane_stage completion;
+    shm::lane_stage receive;
+    [[nodiscard]] std::size_t size() const {
+      return completion.size() + receive.size();
+    }
   };
 
   struct served_vm {
@@ -165,7 +172,7 @@ class service_lib {
     std::function<void(std::size_t)> notify_ce;
     std::uint8_t epoch = 0;  // incarnation tag stamped on every output
     std::unordered_set<std::uint32_t> stalled_reads;  // cids awaiting chunks
-    std::vector<out_lane> lanes;  // one per engine shard (ch->shards())
+    std::vector<out_stages> lanes;  // one per engine shard (ch->shards())
     // Tenant-quota accounting (tenant_quota_config; period-windowed).
     sim_time period_start{};
     sim_time cycles_used{};
@@ -207,8 +214,11 @@ class service_lib {
   void handle_nqe(served_vm& svm, std::size_t shard, const shm::nqe& e);
   // Discards a job from a retired incarnation: chunk freed, drop traced.
   void discard_stale(served_vm& svm, const shm::nqe& e);
-  // Recycles the chunks referenced by a staging list and counts the drops.
-  void drop_staged(served_vm& svm, std::deque<shm::nqe>& staged);
+  // Discards an out-nqe that will never reach the VM: the drop counted and
+  // traced, its chunk recycled.
+  void drop_out(served_vm& svm, const shm::nqe& e);
+  // Teardown: drops every out-nqe staged for the VM.
+  void drop_all_staged(served_vm& svm);
 
   // Stack event plumbing.
   void handle_stack_event(const stack::socket_event& ev);
@@ -224,21 +234,17 @@ class service_lib {
   bool push_receive(served_vm& svm, std::size_t shard, shm::nqe e);
   bool push_out(served_vm& svm, std::size_t shard, shm::nqe e, bool receive);
 
-  // Overflow plumbing: re-drain staged nqes into the rings, resume reads
-  // stalled on chunk or queue pressure once it clears.
-  std::size_t flush_staged(served_vm& svm);
+  // Resumes reads stalled on chunk or queue pressure once it clears.
   void maybe_resume_stalled(served_vm& svm);
   [[nodiscard]] bool out_backlogged(const served_vm& svm,
                                     std::size_t shard) const {
-    const out_lane& lane = svm.lanes[shard];
-    return lane.staged_completion.size() + lane.staged_receive.size() >=
-           overflow_limit_;
+    return svm.lanes[shard].size() >= overflow_limit_;
   }
   // True when this lane's receive path is backed up (stage nonempty or ring
   // full) — the per-lane read-stall condition.
   [[nodiscard]] bool receive_pressured(const served_vm& svm,
                                        std::size_t shard) const {
-    return !svm.lanes[shard].staged_receive.empty() ||
+    return !svm.lanes[shard].receive.empty() ||
            svm.ch->nsm_q(shard).receive.space_approx() == 0;
   }
 

@@ -94,9 +94,9 @@ enum class nqe_op : std::uint8_t {
   }
 }
 
-// Overflow policy for the backpressure staging lists: which ops may be
-// discarded (with their chunk freed and the drop counted) when a staging
-// list hits its hard cap. Only pure data movement qualifies — dropping a
+// Overflow policy for the backpressure stages (shm::lane_stage): which ops
+// may be discarded (with their chunk freed and the drop counted) when a
+// stage hits its hard cap. Only pure data movement qualifies — dropping a
 // mapping, lifecycle or credit-release nqe (cmp_socket, cmp_send, req_close,
 // ...) strands the flow forever, so those are always staged instead.
 [[nodiscard]] constexpr bool droppable_on_overflow(nqe_op op) {
@@ -104,6 +104,23 @@ enum class nqe_op : std::uint8_t {
     case nqe_op::ev_data:
     case nqe_op::ev_udp_data:
     case nqe_op::req_recv_window:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// Chunk ownership: an nqe of these ops owns the huge-page chunk its
+// descriptor names, so whoever discards it must free that chunk or the pool
+// leaks. Every other op carries no chunk (the firewall refuses a descriptor
+// smuggled onto one).
+[[nodiscard]] constexpr bool carries_chunk(nqe_op op) {
+  switch (op) {
+    case nqe_op::req_send:
+    case nqe_op::req_udp_send:
+    case nqe_op::req_recv_window:
+    case nqe_op::ev_data:
+    case nqe_op::ev_udp_data:
       return true;
     default:
       return false;

@@ -29,14 +29,18 @@ template <typename T>
 class spsc_ring {
   static_assert(std::is_trivially_copyable_v<T>,
                 "ring elements are copied through shared memory");
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                "slots come from plain operator new[]");
 
  public:
   // `capacity` is rounded up to a power of two. head/tail are free-running
-  // counters, so every slot is usable.
+  // counters, so every slot is usable. The slots are not zero-filled: a
+  // push writes a slot before a pop reads it, so a ring's pages are
+  // committed when first used, not when the ring is built.
   explicit spsc_ring(std::size_t capacity)
       : cap_{std::bit_ceil(capacity)},
         mask_{cap_ - 1},
-        slots_{std::make_unique<T[]>(cap_)} {}
+        slots_{static_cast<T*>(::operator new[](cap_ * sizeof(T)))} {}
 
   spsc_ring(const spsc_ring&) = delete;
   spsc_ring& operator=(const spsc_ring&) = delete;
@@ -130,7 +134,10 @@ class spsc_ring {
  private:
   const std::size_t cap_;
   const std::size_t mask_;
-  std::unique_ptr<T[]> slots_;
+  struct slot_deleter {
+    void operator()(T* p) const { ::operator delete[](p); }
+  };
+  std::unique_ptr<T[], slot_deleter> slots_;
 
   alignas(cache_line) std::atomic<std::size_t> head_{0};  // producer writes
   alignas(cache_line) std::size_t tail_cache_ = 0;        // producer-local

@@ -1263,11 +1263,19 @@ TEST(core_audit, held_chunk_is_reported_on_live_and_retired_pools) {
 
 // A lossy two-host bulk run with every nqe traced. The wire drops packets
 // from the seeded simulator rng, so the run really depends on its seed.
-std::array<std::string, 2> lossy_bulk_registries(std::uint64_t seed) {
-  nk_pair rig{tcp::cc_algorithm::cubic, seed, [](apps::testbed_params& p) {
+// With `tiny_rings` every ring holds 8 nqes and every stage caps at 64, so
+// nqes also wait in overflow stages in front of full rings.
+std::array<std::string, 2> lossy_bulk_registries(std::uint64_t seed,
+                                                 bool tiny_rings) {
+  nk_pair rig{tcp::cc_algorithm::cubic, seed,
+              [tiny_rings](apps::testbed_params& p) {
                 p.wire.loss_rate = 0.01;
                 p.netkernel.trace.enabled = true;
                 p.netkernel.trace.max_active = 1 << 16;
+                if (tiny_rings) {
+                  p.netkernel.channel.queues.depth = 8;
+                  p.netkernel.overflow_limit = 64;
+                }
               }};
   apps::bulk_sink sink{*rig.server.api, 5001, /*validate=*/true};
   sink.start();
@@ -1282,23 +1290,32 @@ std::array<std::string, 2> lossy_bulk_registries(std::uint64_t seed) {
   EXPECT_TRUE(sink.pattern_ok());
 
   std::array<std::string, 2> out;
+  double deferred = 0.0;
   for (const side end : {side::a, side::b}) {
     const core_engine& ce = rig.bed.netkernel(end);
     EXPECT_EQ(ce.audit().violations(), "");
 #ifndef NK_NO_TRACING
     EXPECT_TRUE(ce.audit().pipeline_checked);
 #endif
+    deferred += ce.metrics().value_of("engine_nqes_deferred").value_or(0.0);
     out[end == side::a ? 0 : 1] = ce.metrics().to_json();
+  }
+  // The tiny rings must actually have staged nqes.
+  if (tiny_rings) {
+    EXPECT_GT(deferred, 0.0);
   }
   return out;
 }
 
 TEST(determinism, same_seed_gives_byte_identical_registries) {
-  const auto first = lossy_bulk_registries(5);
-  const auto again = lossy_bulk_registries(5);
-  EXPECT_TRUE(first == again) << "same seed, different registry JSON";
-  const auto other = lossy_bulk_registries(6);
-  EXPECT_TRUE(first != other) << "registry JSON does not depend on the seed";
+  for (const bool tiny_rings : {false, true}) {
+    SCOPED_TRACE(tiny_rings ? "depth-8 rings" : "default rings");
+    const auto first = lossy_bulk_registries(5, tiny_rings);
+    const auto again = lossy_bulk_registries(5, tiny_rings);
+    EXPECT_TRUE(first == again) << "same seed, different registry JSON";
+    const auto other = lossy_bulk_registries(6, tiny_rings);
+    EXPECT_TRUE(first != other) << "registry JSON does not depend on the seed";
+  }
 }
 
 }  // namespace

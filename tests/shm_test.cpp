@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "shm/hugepage_pool.hpp"
+#include "shm/lane_stage.hpp"
 #include "shm/nqe.hpp"
 #include "shm/queue_set.hpp"
 #include "shm/spsc_ring.hpp"
@@ -393,6 +394,129 @@ TEST(nqe, only_pure_data_is_droppable_on_overflow) {
   EXPECT_FALSE(droppable_on_overflow(nqe_op::ev_accept));
   EXPECT_FALSE(droppable_on_overflow(nqe_op::ev_closed));
   EXPECT_FALSE(droppable_on_overflow(nqe_op::req_close));
+}
+
+TEST(nqe, chunk_carriers_are_exactly_the_descriptor_ops) {
+  for (const nqe_op op : {nqe_op::req_send, nqe_op::req_udp_send,
+                          nqe_op::req_recv_window, nqe_op::ev_data,
+                          nqe_op::ev_udp_data}) {
+    EXPECT_TRUE(carries_chunk(op)) << to_string(op);
+  }
+  for (const nqe_op op : {nqe_op::invalid, nqe_op::req_socket,
+                          nqe_op::req_close, nqe_op::req_stat_refresh,
+                          nqe_op::cmp_socket, nqe_op::cmp_send,
+                          nqe_op::ev_accept, nqe_op::ev_error}) {
+    EXPECT_FALSE(carries_chunk(op)) << to_string(op);
+  }
+}
+
+nqe tagged(nqe_op op, std::uint64_t token) {
+  nqe e;
+  e.op = op;
+  e.token = token;
+  return e;
+}
+
+TEST(lane_stage, no_push_overtakes_a_staged_nqe_and_flush_keeps_order) {
+  nqe_queue ring{queue_config{.depth = 8}};
+  lane_stage stage{ring};
+  for (std::uint64_t t = 0; t < 8; ++t) {
+    EXPECT_EQ(stage.push(tagged(nqe_op::req_send, t)),
+              lane_stage::outcome::pushed);
+  }
+  for (std::uint64_t t = 8; t < 12; ++t) {
+    EXPECT_EQ(stage.push(tagged(nqe_op::req_send, t)),
+              lane_stage::outcome::staged);
+  }
+  nqe out;
+  ASSERT_TRUE(ring.pop(out));
+  EXPECT_EQ(out.token, 0u);
+  // The ring has room again, but nqes are staged: a new push and a
+  // ring-or-nothing try_push must both stay behind them.
+  EXPECT_EQ(stage.push(tagged(nqe_op::req_send, 12)),
+            lane_stage::outcome::staged);
+  EXPECT_FALSE(stage.try_push(tagged(nqe_op::req_send, 99)));
+  EXPECT_EQ(stage.size(), 5u);
+
+  EXPECT_EQ(stage.flush(), 1u);  // one free slot
+  EXPECT_EQ(stage.size(), 4u);
+  EXPECT_EQ(stage.flush(), 0u);  // ring full again
+  for (std::uint64_t t = 1; t <= 8; ++t) {
+    ASSERT_TRUE(ring.pop(out));
+    EXPECT_EQ(out.token, t);
+  }
+  EXPECT_EQ(stage.flush(), 4u);
+  EXPECT_TRUE(stage.empty());
+  for (std::uint64_t t = 9; t <= 12; ++t) {
+    ASSERT_TRUE(ring.pop(out));
+    EXPECT_EQ(out.token, t);
+  }
+  // Nothing staged: straight to the ring again.
+  EXPECT_TRUE(stage.try_push(tagged(nqe_op::req_send, 13)));
+  EXPECT_EQ(stage.push(tagged(nqe_op::req_send, 14)),
+            lane_stage::outcome::pushed);
+  EXPECT_EQ(ring.size_approx(), 2u);
+}
+
+TEST(lane_stage, cap_refuses_only_droppable_ops) {
+  nqe_queue ring{queue_config{.depth = 8}};
+  lane_stage stage{ring, /*cap=*/4};
+  for (std::uint64_t t = 0; t < 8; ++t) {
+    ASSERT_EQ(stage.push(tagged(nqe_op::ev_data, t)),
+              lane_stage::outcome::pushed);
+  }
+  for (std::uint64_t t = 8; t < 12; ++t) {
+    EXPECT_EQ(stage.push(tagged(nqe_op::ev_data, t)),
+              lane_stage::outcome::staged);
+  }
+  // At the cap: pure data is refused...
+  for (const nqe_op op :
+       {nqe_op::ev_data, nqe_op::ev_udp_data, nqe_op::req_recv_window}) {
+    EXPECT_EQ(stage.push(tagged(op, 50)), lane_stage::outcome::refused)
+        << to_string(op);
+  }
+  // ...while lifecycle and credit nqes keep staging past it.
+  for (const nqe_op op :
+       {nqe_op::cmp_socket, nqe_op::cmp_send, nqe_op::ev_error}) {
+    EXPECT_EQ(stage.push(tagged(op, 60)), lane_stage::outcome::staged)
+        << to_string(op);
+  }
+  EXPECT_EQ(stage.size(), 7u);
+  EXPECT_EQ(stage.flush(), 0u);
+
+  // Draining the ring lets the whole stage through in order, the refused
+  // nqes nowhere among them.
+  nqe out;
+  while (ring.pop(out)) {
+  }
+  EXPECT_EQ(stage.flush(), 7u);
+  std::vector<nqe_op> ops;
+  while (ring.pop(out)) ops.push_back(out.op);
+  EXPECT_EQ(ops, (std::vector<nqe_op>{nqe_op::ev_data, nqe_op::ev_data,
+                                      nqe_op::ev_data, nqe_op::ev_data,
+                                      nqe_op::cmp_socket, nqe_op::cmp_send,
+                                      nqe_op::ev_error}));
+}
+
+TEST(lane_stage, teardown_hands_back_every_staged_nqe) {
+  nqe_queue ring{queue_config{.depth = 8}};
+  lane_stage stage{ring, /*cap=*/2};
+  for (std::uint64_t t = 0; t < 8; ++t) {
+    ASSERT_EQ(stage.push(tagged(nqe_op::req_send, t)),
+              lane_stage::outcome::pushed);
+  }
+  for (std::uint64_t t = 8; t < 13; ++t) {
+    ASSERT_EQ(stage.push(tagged(nqe_op::req_send, t)),
+              lane_stage::outcome::staged);
+  }
+  const auto staged = stage.take_all();
+  ASSERT_EQ(staged.size(), 5u);
+  for (std::size_t i = 0; i < staged.size(); ++i) {
+    EXPECT_EQ(staged[i].token, 8 + i);
+  }
+  EXPECT_TRUE(stage.empty());
+  EXPECT_EQ(stage.flush(), 0u);
+  EXPECT_EQ(ring.size_approx(), 8u);  // the ring itself is untouched
 }
 
 // Batch API under real concurrency: a tiny ring (16 slots, ~4 bits of
