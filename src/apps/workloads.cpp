@@ -31,7 +31,15 @@ void bulk_sink::start() {
   });
 }
 
+void bulk_sink::resume() {
+  paused_ = false;
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    if (flows_[i].sock != 0) drain(flows_[i].sock);
+  }
+}
+
 void bulk_sink::drain(app_socket s) {
+  if (paused_) return;
   auto it = index_.find(s);
   if (it == index_.end()) return;
   flow& f = flows_[it->second];

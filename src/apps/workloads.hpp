@@ -30,6 +30,12 @@ class bulk_sink {
 
   void start();
 
+  // Slow reader: while paused the sink accepts flows but reads nothing, so
+  // received data backs up through the stack below it; resume() drains
+  // every flow and reads on readable events again.
+  void pause() { paused_ = true; }
+  void resume();
+
   [[nodiscard]] std::uint64_t total_bytes() const { return total_bytes_; }
   [[nodiscard]] std::size_t flows_seen() const { return flows_.size(); }
   [[nodiscard]] std::size_t flows_finished() const { return finished_; }
@@ -52,6 +58,7 @@ class bulk_sink {
   std::uint64_t total_bytes_ = 0;
   std::size_t finished_ = 0;
   bool pattern_ok_ = true;
+  bool paused_ = false;
 };
 
 struct bulk_sender_config {

@@ -47,6 +47,13 @@ struct channel {
   nsm_id nsm;
   shm::hugepage_pool pool;  // payload region, unique key per pair
 
+  // Receive-chunk doorbell mark (DESIGN.md §8). GuestLib frees each consumed
+  // receive chunk straight into `pool`, with no nqe. ServiceLib sets the mark
+  // while it has reads parked for a chunk and clears it when it resumes
+  // them; a guest free rings ServiceLib through CoreEngine only while it is
+  // set (virtio-style event suppression). ServiceLib is the only writer.
+  bool chunk_doorbell = false;
+
   // Tenant-facing stat page (DESIGN.md §16): engine-written, guest-read-
   // only. Lives on the channel so it survives quarantine (the retired
   // attachment keeps the channel alive and the guest keeps its mapping —

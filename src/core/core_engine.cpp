@@ -18,6 +18,12 @@ constexpr std::size_t drain_batch = 64;
 // chunks in flight per lane — instead of in the core's unbounded execute
 // FIFO. Same gate ServiceLib applies in drain_jobs.
 constexpr sim_time pump_backlog_bound = microseconds(3);
+// Settles one committed nqe of a lane (core_engine::lane). Saturating: a
+// copy queued before a detach may run against the fresh lane of a VM that
+// re-attached under the same id, whose count started at zero.
+void uncommit(std::size_t& committed) {
+  if (committed > 0) --committed;
+}
 // Accepted-connection fds are minted per shard from disjoint ranges so the
 // accept hot path touches no cross-shard counter. 1M fds per shard leaves
 // the whole range above any GuestLib-minted fd.
@@ -683,6 +689,12 @@ void core_engine::notify_vm_space(virt::vm_id vm, std::size_t shard) {
   }
 }
 
+void core_engine::notify_chunk_freed(virt::vm_id vm) {
+  if (auto it = attachments_.find(vm); it != attachments_.end()) {
+    if (auto* service = service_of(it->second.module->id())) service->notify();
+  }
+}
+
 // --- overflow staging ------------------------------------------------------------
 
 bool core_engine::stage_push(attachment& att, std::size_t s,
@@ -697,9 +709,12 @@ bool core_engine::stage_push(attachment& att, std::size_t s,
     case shm::lane_stage::outcome::refused:
       break;
   }
-  // Hard cap: discard pure data, recycle its chunk, count the loss. The
-  // pipeline never gets here while gating works (pops stop when a stage
-  // fills); this is the bounded-memory backstop.
+  // Hard cap: discard received payload, recycle its chunk, count the loss.
+  // The pumps' pop gates count committed nqes, so the nqes they forward
+  // never get here: only the to-VM stages can refuse (no guest op is
+  // droppable), and only after pushes no gate sees (ev_errors the forward
+  // path or a failover abort synthesizes) fill them past the limit. This
+  // is the bounded-memory backstop for that case.
   ++sh.stats.nqes_dropped;
   drop_trace(sh, e.reserved);
   if (!e.desc.empty()) (void)att.ch->pool.free(e.desc.chunk);
@@ -755,11 +770,13 @@ std::size_t core_engine::drain_vm_jobs(attachment& att, std::size_t s) {
   std::size_t popped = 0;
   sim::cpu_core* core = shards_[s].core;
   bool gated = false;
-  // Stop accepting new work once the stage is at the limit — the job ring
-  // then fills and GuestLib's would_block machinery pushes back on the app.
-  // Likewise once the shard core's copy backlog passes the bound: further
-  // pops would just park nqes in its infinite FIFO, hiding the pressure.
-  while (n < batch && ln.to_nsm.size() < cfg_.overflow_limit) {
+  // Stop accepting new work once the stage, counting the nqes already
+  // committed to the shard core, is at the limit — the job ring then fills
+  // and GuestLib's would_block machinery pushes back on the app. Likewise
+  // once the shard core's copy backlog passes the bound: further pops would
+  // just park nqes in its infinite FIFO, hiding the pressure.
+  while (n < batch &&
+         ln.to_nsm.size() + ln.committed_fwd < cfg_.overflow_limit) {
     if (core != nullptr && core->backlog() > pump_backlog_bound) {
       gated = true;
       break;
@@ -782,8 +799,10 @@ std::size_t core_engine::drain_vm_jobs(attachment& att, std::size_t s) {
     // The copy between queue sets costs ~12 ns on this shard's core
     // (paper §4.2); translation happens in FIFO order on that core.
     if (core != nullptr) {
+      ++ln.committed_fwd;
       core->execute(cfg_.costs.nqe_copy, [this, id = att.vm->id(), s, e] {
         if (auto it = attachments_.find(id); it != attachments_.end()) {
+          uncommit(it->second.lanes[s].committed_fwd);
           forward_to_nsm(it->second, s, e);
         }
       });
@@ -848,14 +867,11 @@ void core_engine::forward_to_nsm(attachment& att, std::size_t s, shm::nqe e) {
   const auto fd = e.handle;
   auto it = sh.by_flow.find(flow_key{vm, fd});
   if (it == sh.by_flow.end()) {
-    // Two unknown-fd shapes are benign races, not forgeries, and keep the
-    // legacy unroutable accounting: a recv-window recycle whose flow just
-    // closed underneath it, and a close for a mapping the engine already
-    // erased (error teardown, failover abort). Every other fd-addressed op
-    // naming no flow of this VM is refused by the firewall.
-    const bool benign = e.op == shm::nqe_op::req_recv_window ||
-                        e.op == shm::nqe_op::req_close;
-    if (att.abuse != nullptr && !benign) {
+    // One unknown-fd shape is a benign race, not a forgery, and keeps the
+    // unroutable accounting: a close for a mapping the engine already erased
+    // (error teardown, failover abort). Every other fd-addressed op naming
+    // no flow of this VM is refused by the firewall.
+    if (att.abuse != nullptr && e.op != shm::nqe_op::req_close) {
       reject_nqe(att, s, e, reject_reason::badfd);
       return;
     }
@@ -953,7 +969,8 @@ std::size_t core_engine::drain_nsm_queues(attachment& att, std::size_t s) {
   for (const bool receive : {false, true}) {
     shm::nqe_queue& ring =
         receive ? att.ch->nsm_q(s).receive : att.ch->nsm_q(s).completion;
-    while (n < drain_batch && ln.to_vm_depth() < cfg_.overflow_limit) {
+    while (n < drain_batch &&
+           ln.to_vm_depth() + ln.committed_rev < cfg_.overflow_limit) {
       if (core != nullptr && core->backlog() > pump_backlog_bound) {
         gated = true;
         break;
@@ -963,10 +980,12 @@ std::size_t core_engine::drain_nsm_queues(attachment& att, std::size_t s) {
       ++popped;
       tracer_.stamp(e.reserved, obs::nqe_stage::nsm_out_dwell);
       if (core != nullptr) {
+        ++ln.committed_rev;
         core->execute(cfg_.costs.nqe_copy,
                       [this, id = att.vm->id(), s, e, receive] {
                         if (auto it = attachments_.find(id);
                             it != attachments_.end()) {
+                          uncommit(it->second.lanes[s].committed_rev);
                           forward_to_vm(it->second, s, e, receive);
                         }
                       });

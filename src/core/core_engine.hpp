@@ -404,6 +404,11 @@ class core_engine {
   // batched-interrupt notification, where nothing else would re-run the pump).
   void notify_vm_space(virt::vm_id vm, std::size_t shard = 0);
 
+  // Doorbell: the VM freed a receive chunk while the channel's
+  // chunk_doorbell mark was set; wakes the NSM's ServiceLib so reads parked
+  // for a chunk resume (DESIGN.md §8).
+  void notify_chunk_freed(virt::vm_id vm);
+
  private:
   struct flow_key {
     virt::vm_id vm;
@@ -485,6 +490,11 @@ class core_engine {
     shm::lane_stage to_nsm;      // VM -> NSM jobs
     shm::lane_stage completion;  // NSM -> VM completions
     shm::lane_stage receive;     // NSM -> VM events
+    // nqes popped and queued on the shard core, not yet pushed on: each
+    // becomes at most one push into its direction's stage, so the pumps'
+    // pop gates count them against overflow_limit too.
+    std::size_t committed_fwd = 0;
+    std::size_t committed_rev = 0;
     std::uint32_t next_accept_fd = 0;  // set per shard at attach
   };
 

@@ -105,21 +105,21 @@ void guest_lib::wake_writers() {
   }
 }
 
-void guest_lib::recycle_chunk(const shm::nqe& e, std::size_t shard) {
-  shm::nqe back;
-  back.op = shm::nqe_op::req_recv_window;
-  back.handle = e.handle;
-  back.desc = e.desc;
-  back.owner = vm_.id();
-  if (job_stages_[shard].try_push(back)) {
-    engine_.notify_from_vm(vm_.id(), shard);
+void guest_lib::free_rx_chunk(shm::chunk_ref chunk) {
+  (void)ch_.pool.free(chunk);
+  // ServiceLib has reads parked for a chunk: wake it (DESIGN.md §8).
+  if (ch_.chunk_doorbell) engine_.notify_chunk_freed(vm_.id());
+}
+
+void guest_lib::return_rx_chunk(const g_socket& gs, shm::chunk_ref chunk,
+                                sim_time copy_cost) {
+  // The chunk is free once the vCPU's modeled copy-out of it completes;
+  // queued behind the socket's earlier copies, never before them.
+  if (gs.core == nullptr) {
+    free_rx_chunk(chunk);
     return;
   }
-  // Job path is backed up: free the chunk in place rather than queueing the
-  // recycle behind it. GuestLib shares the pool, so the credit cannot be
-  // lost — ServiceLib re-checks chunks_free when it resumes stalled reads.
-  (void)ch_.pool.free(e.desc.chunk);
-  ++stats_.chunks_freed_local;
+  gs.core->execute(copy_cost, [this, chunk] { free_rx_chunk(chunk); });
 }
 
 void guest_lib::set_flow_shard(std::uint32_t fd, std::size_t shard) {
@@ -303,19 +303,15 @@ result<buffer> guest_lib::nk_recv(std::uint32_t fd, std::size_t max) {
     if (!span) return span.error();
     out.insert(out.end(), span.value().begin(), span.value().end());
 
-    // Charge the copy out of the huge pages to this socket's vcpu.
-    if (gs->core != nullptr) gs->core->execute(costs_.memcpy_cost(take), [] {});
-
+    // Charge the copy out of the huge pages to this socket's vcpu; the copy
+    // that drains a chunk also returns it to the pool.
     item.consumed += take;
     gs->rx_bytes -= take;
     if (item.consumed == item.desc.length) {
-      // Chunk fully consumed: return it to the NSM (flow-control credit).
-      shm::nqe e;
-      e.op = shm::nqe_op::req_recv_window;
-      e.handle = fd;
-      e.desc = item.desc;
-      submit(*gs, e, sim_time::zero());
+      return_rx_chunk(*gs, item.desc.chunk, costs_.memcpy_cost(take));
       gs->rx.pop_front();
+    } else if (gs->core != nullptr) {
+      gs->core->execute(costs_.memcpy_cost(take), [] {});
     }
   }
   stats_.bytes_received += out.size();
@@ -390,16 +386,8 @@ result<std::pair<net::socket_addr, buffer>> guest_lib::nk_udp_recv_from(
   auto span = ch_.pool.readable(item.desc);
   if (!span) return span.error();
   buffer data = buffer::copy_of(span.value());
-  if (gs->core != nullptr) {
-    gs->core->execute(costs_.memcpy_cost(data.size()), [] {});
-  }
   stats_.bytes_received += data.size();
-
-  shm::nqe back;
-  back.op = shm::nqe_op::req_recv_window;
-  back.handle = fd;
-  back.desc = item.desc;
-  submit(*gs, back, sim_time::zero());
+  return_rx_chunk(*gs, item.desc.chunk, costs_.memcpy_cost(data.size()));
   return std::make_pair(item.from, std::move(data));
 }
 
@@ -471,20 +459,13 @@ status guest_lib::nk_close(std::uint32_t fd) {
   auto* gs = socket_of(fd);
   if (gs == nullptr) return errc::not_found;
 
-  // Return any unconsumed receive chunks before the mapping disappears.
-  for (auto& item : gs->rx) {
-    shm::nqe e;
-    e.op = shm::nqe_op::req_recv_window;
-    e.handle = fd;
-    e.desc = item.desc;
-    submit(*gs, e, sim_time::zero());
+  // Unread receive chunks go back to the pool, after any copy-out still
+  // running on the socket's vcpu.
+  for (const auto& item : gs->rx) {
+    return_rx_chunk(*gs, item.desc.chunk, sim_time::zero());
   }
-  for (auto& item : gs->udp_rx) {
-    shm::nqe e;
-    e.op = shm::nqe_op::req_recv_window;
-    e.handle = fd;
-    e.desc = item.desc;
-    submit(*gs, e, sim_time::zero());
+  for (const auto& item : gs->udp_rx) {
+    return_rx_chunk(*gs, item.desc.chunk, sim_time::zero());
   }
   gs->rx.clear();
   gs->udp_rx.clear();
@@ -511,24 +492,16 @@ void guest_lib::abort_all(errc err) {
     for (const auto& e : stage.take_all()) {
       if (shm::carries_chunk(e.op) && !e.desc.empty()) {
         (void)ch_.pool.free(e.desc.chunk);
-        ++stats_.chunks_freed_local;
       }
     }
   }
-  // Fail every socket and free its buffered receive chunks in place — the
-  // recycle path would just queue req_recv_windows no one will drain.
+  // Fail every socket and free its buffered receive chunks.
   std::vector<std::uint32_t> fds;
   fds.reserve(sockets_.size());
   for (auto& [fd, gs] : sockets_) {
     fds.push_back(fd);
-    for (const auto& item : gs.rx) {
-      (void)ch_.pool.free(item.desc.chunk);
-      ++stats_.chunks_freed_local;
-    }
-    for (const auto& item : gs.udp_rx) {
-      (void)ch_.pool.free(item.desc.chunk);
-      ++stats_.chunks_freed_local;
-    }
+    for (const auto& item : gs.rx) free_rx_chunk(item.desc.chunk);
+    for (const auto& item : gs.udp_rx) free_rx_chunk(item.desc.chunk);
     gs.rx.clear();
     gs.udp_rx.clear();
     gs.rx_bytes = 0;
@@ -618,8 +591,7 @@ std::size_t guest_lib::drain() {
   shm::nqe e;
   std::size_t popped = 0;
   // All lanes, completions before events within each. The arrival lane is
-  // the nqe's home shard — handle_nqe needs it to home accepted children
-  // and to route chunk recycles.
+  // the nqe's home shard — handle_nqe needs it to home accepted children.
   for (std::size_t s = 0; s < ch_.shards(); ++s) {
     std::size_t lane_popped = 0;
     for (shm::nqe_queue* ring :
@@ -692,8 +664,8 @@ void guest_lib::handle_nqe(const shm::nqe& e, std::size_t shard) {
     case shm::nqe_op::ev_data: {
       auto* gs = socket_of(e.handle);
       if (gs == nullptr) {
-        // Socket closed locally while data was in flight: recycle the chunk.
-        recycle_chunk(e, shard);
+        // Socket closed locally while data was in flight: free the chunk.
+        free_rx_chunk(e.desc.chunk);
         return;
       }
       gs->rx.push_back(rx_item{e.desc, 0});
@@ -704,7 +676,7 @@ void guest_lib::handle_nqe(const shm::nqe& e, std::size_t shard) {
     case shm::nqe_op::ev_udp_data: {
       auto* gs = socket_of(e.handle);
       if (gs == nullptr) {
-        recycle_chunk(e, shard);
+        free_rx_chunk(e.desc.chunk);
         return;
       }
       udp_rx_item item;

@@ -62,7 +62,6 @@ struct guest_lib_stats {
   std::uint64_t recv_blocked = 0;  // nk_recv with nothing buffered
   std::uint64_t events_delivered = 0;
   std::uint64_t jobs_deferred = 0;       // staged on a full VM-side job ring
-  std::uint64_t chunks_freed_local = 0;  // recycles short-circuited in-VM
   std::uint64_t ops_timed_out = 0;       // deadline expired, retries spent
   std::uint64_t ops_retried = 0;         // deadline expired, op resubmitted
 };
@@ -237,7 +236,13 @@ class guest_lib {
   void enqueue_job(std::size_t shard, shm::nqe e);
   std::size_t flush_job_stages();
   void wake_writers();
-  void recycle_chunk(const shm::nqe& e, std::size_t shard);
+  // Receive-chunk return (DESIGN.md §8): a consumed chunk goes straight back
+  // into the shared pool, no nqe. free_rx_chunk frees now and rings
+  // ServiceLib if it has reads parked for a chunk; return_rx_chunk frees once
+  // the socket's vcpu has finished `copy_cost` of copy-out.
+  void free_rx_chunk(shm::chunk_ref chunk);
+  void return_rx_chunk(const g_socket& gs, shm::chunk_ref chunk,
+                       sim_time copy_cost);
   // Outstanding bytes per socket before nk_send returns would_block.
   static constexpr std::uint64_t send_credit = 1024 * 1024;
   // Jobs staged locally when the VM-side job ring is full before the app

@@ -111,6 +111,7 @@ void service_lib::fail() {
   for (auto& [vm, svm] : vms_) {
     drop_all_staged(svm);
     svm.stalled_reads.clear();
+    svm.ch->chunk_doorbell = false;
   }
 }
 
@@ -288,12 +289,17 @@ bool service_lib::push_out(served_vm& svm, std::size_t shard, shm::nqe e,
 }
 
 void service_lib::maybe_resume_stalled(served_vm& svm) {
-  if (svm.stalled_reads.empty()) return;
+  if (svm.stalled_reads.empty()) {
+    svm.ch->chunk_doorbell = false;  // the parked sockets were dropped
+    return;
+  }
   // A read stalls on chunk exhaustion, quota exhaustion or out-queue
-  // pressure; resume once all have cleared on the socket's own lane. (Also
-  // covers wakeups lost to a dropped recycle nqe.)
+  // pressure; resume once all have cleared on the socket's own lane.
   if (svm.ch->pool.chunks_free() == 0) return;
   if (cycle_budget_exhausted(svm) || chunk_quota_hit(svm)) return;
+  // Chunks are available: stop asking for chunk doorbells. A read that
+  // parks again below sets the mark again.
+  svm.ch->chunk_doorbell = false;
   auto stalled = std::move(svm.stalled_reads);
   svm.stalled_reads.clear();
   for (const std::uint32_t cid : stalled) {
@@ -310,6 +316,40 @@ void service_lib::maybe_resume_stalled(served_vm& svm) {
       }
     }
   }
+}
+
+bool service_lib::read_stalled(served_vm& svm, const proto_socket& ps) {
+  std::uint64_t* stall = nullptr;
+  if (svm.ch->pool.chunks_free() == 0 && !chunk_after_mark(svm)) {
+    // Backpressure: the VM has not consumed earlier data. Leave the rest in
+    // the stack's receive buffer (its rwnd will close) and resume when the
+    // VM frees a chunk.
+    stall = &stats_.chunk_stalls;
+  } else if (cycle_budget_exhausted(svm)) {
+    // Cycle quota: data stays in the transport's receive buffer (its
+    // flow-control window closes toward the peer) — backpressure, not loss.
+    // The period-end wakeup resumes the read.
+    stall = &stats_.quota_stalls;
+  } else if (chunk_quota_hit(svm) && !chunk_after_mark(svm)) {
+    stall = &stats_.chunk_quota_stalls;
+  } else if (receive_pressured(svm, ps.shard)) {
+    // Out-queue pressure: this lane's receive ring (or its overflow stage)
+    // is backed up. Leave data in the stack and resume once CoreEngine
+    // drains it (its pops ring this module's doorbell).
+    stall = &stats_.queue_stalls;
+  } else {
+    return false;
+  }
+  svm.stalled_reads.insert(ps.cid);
+  ++*stall;
+  return true;
+}
+
+bool service_lib::chunk_after_mark(served_vm& svm) {
+  // Mark first, then re-check: a guest free that landed before the mark is
+  // seen here, and one after it finds the mark set and rings.
+  svm.ch->chunk_doorbell = true;
+  return svm.ch->pool.chunks_free() != 0 && !chunk_quota_hit(svm);
 }
 
 std::size_t service_lib::staged_depth(virt::vm_id vm) const {
@@ -616,13 +656,6 @@ void service_lib::handle_nqe(served_vm& svm, std::size_t shard,
       try_deliver_sends(*ps);
       return;
     }
-    case shm::nqe_op::req_recv_window: {
-      (void)svm.ch->pool.free(e.desc.chunk);
-      // Chunks freed: resume any reads stalled on pool exhaustion (as long
-      // as the out-queues have space too).
-      maybe_resume_stalled(svm);
-      return;
-    }
     case shm::nqe_op::req_udp_open: {
       const std::uint32_t cid = next_cid_++;
       proto_socket ps;
@@ -804,85 +837,27 @@ void service_lib::pump_reads(proto_socket& ps) {
   if (vit == vms_.end()) return;
   served_vm& svm = vit->second;
   auto& stack = nsm_.transport();
-  const std::size_t chunk_size = svm.ch->pool.chunk_size();
-  const std::size_t shard = ps.shard;
 
-  while (true) {
-    if (svm.ch->pool.chunks_free() == 0) {
-      // Backpressure: the VM has not consumed earlier data. Leave the rest
-      // in the stack's receive buffer (its rwnd will close) and resume when
-      // the VM returns a chunk.
-      svm.stalled_reads.insert(ps.cid);
-      ++stats_.chunk_stalls;
-      return;
-    }
-    if (cycle_budget_exhausted(svm)) {
-      // Cycle quota: data stays in the transport's receive buffer (its
-      // flow-control window closes toward the peer) — backpressure, not
-      // loss. The period-end wakeup resumes the read.
-      svm.stalled_reads.insert(ps.cid);
-      ++stats_.quota_stalls;
-      return;
-    }
-    if (chunk_quota_hit(svm)) {
-      svm.stalled_reads.insert(ps.cid);
-      ++stats_.chunk_quota_stalls;
-      return;
-    }
-    if (receive_pressured(svm, shard)) {
-      // Out-queue pressure: this lane's receive ring (or its overflow
-      // stage) is backed up. Leave data in the stack and resume once it
-      // drains.
-      svm.stalled_reads.insert(ps.cid);
-      ++stats_.queue_stalls;
-      return;
-    }
-    auto r = stack.recv(ps.ssock, chunk_size);
+  while (!read_stalled(svm, ps)) {
+    auto chunk = take_chunk(svm, ps);
+    if (!chunk) return;
+    auto r = stack.recv(ps.ssock, svm.ch->pool.chunk_size());
     if (!r) {
+      (void)svm.ch->pool.free(*chunk);
       if (r.error() == errc::closed) {
         // EOF: the peer half-closed; tell the VM. Route through the core so
         // the EOF cannot overtake data events still queued there.
         shm::nqe out;
         out.op = shm::nqe_op::ev_closed;
         out.handle = ps.cid;
-        if (auto* core = nsm_.core(); core != nullptr) {
-          core->execute(sim_time::zero(), [this, vm = ps.vm, shard, out] {
-            if (auto it = vms_.find(vm); it != vms_.end()) {
-              push_receive(it->second, shard, out);
-            }
-          });
-        } else {
-          push_receive(svm, shard, out);
-        }
+        commit_receive(svm, ps.shard, out, sim_time::zero());
       }
       return;
     }
-    buffer data = std::move(r).value();
-    auto chunk = svm.ch->pool.alloc();
-    if (!chunk) return;  // raced to exhaustion; the stall path will resume
-
-    auto span = svm.ch->pool.writable(chunk.value());
-    std::memcpy(span.value().data(), data.bytes().data(), data.size());
-    stats_.bytes_from_stack += data.size();
-    ++stats_.data_events;
-    if (sla_ != nullptr) sla_->record_receive(ps.vm, data.size());
-    charge_cycles(svm, costs_.memcpy_cost(data.size()));
-
     shm::nqe out;
     out.op = shm::nqe_op::ev_data;
     out.handle = ps.cid;
-    out.desc = shm::data_descriptor{chunk.value(), 0,
-                                    static_cast<std::uint32_t>(data.size())};
-    if (auto* core = nsm_.core(); core != nullptr) {
-      core->execute(costs_.memcpy_cost(data.size()),
-                    [this, vm = ps.vm, shard, out] {
-                      if (auto it = vms_.find(vm); it != vms_.end()) {
-                        push_receive(it->second, shard, out);
-                      }
-                    });
-    } else {
-      push_receive(svm, shard, out);
-    }
+    deliver_read(svm, ps, *chunk, r.value(), out);
   }
 }
 
@@ -894,63 +869,75 @@ void service_lib::pump_udp_reads(proto_socket& ps) {
   if (vit == vms_.end()) return;
   served_vm& svm = vit->second;
   auto& stack = nsm_.transport();
-  const std::size_t chunk_size = svm.ch->pool.chunk_size();
-  const std::size_t shard = ps.shard;
 
-  while (true) {
-    if (svm.ch->pool.chunks_free() == 0) {
-      svm.stalled_reads.insert(ps.cid);
-      ++stats_.chunk_stalls;
-      return;
-    }
-    if (cycle_budget_exhausted(svm)) {
-      svm.stalled_reads.insert(ps.cid);
-      ++stats_.quota_stalls;
-      return;
-    }
-    if (chunk_quota_hit(svm)) {
-      svm.stalled_reads.insert(ps.cid);
-      ++stats_.chunk_quota_stalls;
-      return;
-    }
-    if (receive_pressured(svm, shard)) {
-      svm.stalled_reads.insert(ps.cid);
-      ++stats_.queue_stalls;
-      return;
-    }
+  while (!read_stalled(svm, ps)) {
+    auto chunk = take_chunk(svm, ps);
+    if (!chunk) return;
     auto r = stack.udp_recv_from(ps.ssock);
-    if (!r) return;
+    if (!r) {
+      (void)svm.ch->pool.free(*chunk);
+      return;
+    }
     auto [from, data] = std::move(r).value();
     // Datagram larger than a chunk cannot be represented; drop it (the
     // region broker sizes chunks >= the expected datagram MTU).
-    if (data.size() > chunk_size) continue;
-    auto chunk = svm.ch->pool.alloc();
-    if (!chunk) return;
-    auto span = svm.ch->pool.writable(chunk.value());
-    std::memcpy(span.value().data(), data.bytes().data(), data.size());
-    stats_.bytes_from_stack += data.size();
-    ++stats_.data_events;
-    if (sla_ != nullptr) sla_->record_receive(ps.vm, data.size());
-    charge_cycles(svm, costs_.memcpy_cost(data.size()));
-
+    if (data.size() > svm.ch->pool.chunk_size()) {
+      (void)svm.ch->pool.free(*chunk);
+      continue;
+    }
     shm::nqe out;
     out.op = shm::nqe_op::ev_udp_data;
     out.handle = ps.cid;
-    out.desc = shm::data_descriptor{chunk.value(), 0,
-                                    static_cast<std::uint32_t>(data.size())};
     out.arg0 = from.ip.value;
     out.arg1 = from.port;
-    if (auto* core = nsm_.core(); core != nullptr) {
-      core->execute(costs_.memcpy_cost(data.size()),
-                    [this, vm = ps.vm, shard, out] {
-                      if (auto it = vms_.find(vm); it != vms_.end()) {
-                        push_receive(it->second, shard, out);
-                      }
-                    });
-    } else {
-      push_receive(svm, shard, out);
-    }
+    deliver_read(svm, ps, *chunk, data, out);
   }
+}
+
+std::optional<shm::chunk_ref> service_lib::take_chunk(served_vm& svm,
+                                                      const proto_socket& ps) {
+  auto chunk = svm.ch->pool.alloc();
+  if (chunk) return chunk.value();
+  // Free chunks exist but none may be taken (hugepage_pool::set_exhausted
+  // fault injection). Taken before the read, so no byte has left the
+  // stack yet; park like a chunk stall and retry on the next free or poll.
+  svm.ch->chunk_doorbell = true;
+  svm.stalled_reads.insert(ps.cid);
+  ++stats_.chunk_stalls;
+  return std::nullopt;
+}
+
+void service_lib::deliver_read(served_vm& svm, const proto_socket& ps,
+                               shm::chunk_ref chunk, const buffer& data,
+                               shm::nqe out) {
+  auto span = svm.ch->pool.writable(chunk);
+  std::memcpy(span.value().data(), data.bytes().data(), data.size());
+  stats_.bytes_from_stack += data.size();
+  ++stats_.data_events;
+  if (sla_ != nullptr) sla_->record_receive(ps.vm, data.size());
+  charge_cycles(svm, costs_.memcpy_cost(data.size()));
+  out.desc = shm::data_descriptor{chunk, 0,
+                                  static_cast<std::uint32_t>(data.size())};
+  commit_receive(svm, ps.shard, out, costs_.memcpy_cost(data.size()));
+}
+
+void service_lib::commit_receive(served_vm& svm, std::size_t shard,
+                                 const shm::nqe& out, sim_time cost) {
+  auto* core = nsm_.core();
+  if (core == nullptr) {
+    push_receive(svm, shard, out);
+    return;
+  }
+  ++svm.lanes[shard].receive_committed;
+  core->execute(cost, [this, vm = svm.ch->vm_id, shard, out] {
+    if (auto it = vms_.find(vm); it != vms_.end()) {
+      // Saturating: a push queued before a detach may land on the fresh
+      // lanes of a VM that re-attached under the same id.
+      std::size_t& committed = it->second.lanes[shard].receive_committed;
+      if (committed > 0) --committed;
+      push_receive(it->second, shard, out);
+    }
+  });
 }
 
 void service_lib::try_deliver_sends(proto_socket& ps) {

@@ -13,6 +13,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -162,6 +163,9 @@ class service_lib {
           receive{ch.nsm_q(s).receive, cap} {}
     shm::lane_stage completion;
     shm::lane_stage receive;
+    // Receive events queued on the NSM core behind their copy, not yet
+    // pushed; the read gate (receive_pressured) counts them.
+    std::size_t receive_committed = 0;
     [[nodiscard]] std::size_t size() const {
       return completion.size() + receive.size();
     }
@@ -224,6 +228,14 @@ class service_lib {
   void handle_stack_event(const stack::socket_event& ev);
   void pump_reads(proto_socket& ps);
   void pump_udp_reads(proto_socket& ps);
+  // A read's chunk, taken before anything leaves the stack; on an injected
+  // exhaustion the read parks as a chunk stall and this returns nullopt.
+  [[nodiscard]] std::optional<shm::chunk_ref> take_chunk(
+      served_vm& svm, const proto_socket& ps);
+  // Copies `data` into `chunk`, books the read, and commits `out` (op,
+  // handle and args set) with the chunk's descriptor to the socket's lane.
+  void deliver_read(served_vm& svm, const proto_socket& ps,
+                    shm::chunk_ref chunk, const buffer& data, shm::nqe out);
   void try_deliver_sends(proto_socket& ps);
 
   // Queue push helpers. Fallible by contract: true means the nqe was
@@ -233,19 +245,35 @@ class service_lib {
   bool push_completion(served_vm& svm, std::size_t shard, shm::nqe e);
   bool push_receive(served_vm& svm, std::size_t shard, shm::nqe e);
   bool push_out(served_vm& svm, std::size_t shard, shm::nqe e, bool receive);
+  // Queues a receive event on the NSM core behind `cost` of copy work (FIFO
+  // with the socket's earlier events) and pushes it when that completes.
+  void commit_receive(served_vm& svm, std::size_t shard, const shm::nqe& out,
+                      sim_time cost);
 
   // Resumes reads stalled on chunk or queue pressure once it clears.
   void maybe_resume_stalled(served_vm& svm);
+  // The read gates of both pumps: true when a read on `ps` must wait (no
+  // free chunk, cycle or chunk quota spent, or its lane's receive path
+  // backed up); the stall is counted and `ps` parked in stalled_reads.
+  [[nodiscard]] bool read_stalled(served_vm& svm, const proto_socket& ps);
+  // Doorbell protocol for a read about to park for a chunk (DESIGN.md §8):
+  // sets the channel's chunk_doorbell mark, then re-checks; true when a
+  // chunk is available after all.
+  [[nodiscard]] bool chunk_after_mark(served_vm& svm);
   [[nodiscard]] bool out_backlogged(const served_vm& svm,
                                     std::size_t shard) const {
     return svm.lanes[shard].size() >= overflow_limit_;
   }
-  // True when this lane's receive path is backed up (stage nonempty or ring
-  // full) — the per-lane read-stall condition.
+  // True when this lane's receive path is backed up — the per-lane
+  // read-stall condition: the stage holds nqes, the ring is full, or the
+  // receives already committed to the NSM core would fill the ring and the
+  // stage up to overflow_limit (past it, an ev_data would be refused).
   [[nodiscard]] bool receive_pressured(const served_vm& svm,
                                        std::size_t shard) const {
-    return !svm.lanes[shard].receive.empty() ||
-           svm.ch->nsm_q(shard).receive.space_approx() == 0;
+    const out_stages& lane = svm.lanes[shard];
+    const std::size_t space = svm.ch->nsm_q(shard).receive.space_approx();
+    return !lane.receive.empty() || space == 0 ||
+           lane.receive_committed >= space + overflow_limit_;
   }
 
   // Quota plumbing: charges `cost` against the VM's cycle budget (rolling

@@ -24,7 +24,6 @@ enum class nqe_op : std::uint8_t {
   req_listen,       // arg0 = backlog
   req_connect,      // arg0 = remote ip, arg1 = remote port
   req_send,         // desc = payload in huge pages
-  req_recv_window,  // arg0 = bytes the app consumed (flow-control credit)
   req_setsockopt,   // arg0 = option id, arg1 = value
   req_shutdown_wr,  // half-close, sending side
   req_close,        // release the socket
@@ -54,7 +53,6 @@ enum class nqe_op : std::uint8_t {
     case nqe_op::req_listen: return "req_listen";
     case nqe_op::req_connect: return "req_connect";
     case nqe_op::req_send: return "req_send";
-    case nqe_op::req_recv_window: return "req_recv_window";
     case nqe_op::req_setsockopt: return "req_setsockopt";
     case nqe_op::req_shutdown_wr: return "req_shutdown_wr";
     case nqe_op::req_close: return "req_close";
@@ -96,14 +94,13 @@ enum class nqe_op : std::uint8_t {
 
 // Overflow policy for the backpressure stages (shm::lane_stage): which ops
 // may be discarded (with their chunk freed and the drop counted) when a
-// stage hits its hard cap. Only pure data movement qualifies — dropping a
+// stage hits its hard cap. Only received payload qualifies — dropping a
 // mapping, lifecycle or credit-release nqe (cmp_socket, cmp_send, req_close,
 // ...) strands the flow forever, so those are always staged instead.
 [[nodiscard]] constexpr bool droppable_on_overflow(nqe_op op) {
   switch (op) {
     case nqe_op::ev_data:
     case nqe_op::ev_udp_data:
-    case nqe_op::req_recv_window:
       return true;
     default:
       return false;
@@ -113,12 +110,12 @@ enum class nqe_op : std::uint8_t {
 // Chunk ownership: an nqe of these ops owns the huge-page chunk its
 // descriptor names, so whoever discards it must free that chunk or the pool
 // leaks. Every other op carries no chunk (the firewall refuses a descriptor
-// smuggled onto one).
+// smuggled onto one). A delivered receive chunk never travels back: GuestLib
+// frees it straight into the shared pool once the app has consumed it.
 [[nodiscard]] constexpr bool carries_chunk(nqe_op op) {
   switch (op) {
     case nqe_op::req_send:
     case nqe_op::req_udp_send:
-    case nqe_op::req_recv_window:
     case nqe_op::ev_data:
     case nqe_op::ev_udp_data:
       return true;
@@ -138,7 +135,6 @@ enum class nqe_op : std::uint8_t {
     case nqe_op::req_listen:
     case nqe_op::req_connect:
     case nqe_op::req_send:
-    case nqe_op::req_recv_window:
     case nqe_op::req_setsockopt:
     case nqe_op::req_shutdown_wr:
     case nqe_op::req_close:

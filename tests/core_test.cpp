@@ -1261,20 +1261,246 @@ TEST(core_audit, held_chunk_is_reported_on_live_and_retired_pools) {
   EXPECT_NE(books.violations().find("(retired): 1 of"), std::string::npos);
 }
 
+// --- receive-chunk return (DESIGN.md §8) ----------------------------------------
+
+// One client -> server connection whose receiver reads nothing by itself.
+struct unread_transfer {
+  std::uint32_t server_fd = 0;  // the server's accepted fd, once accepted
+  std::size_t sent = 0;         // pattern bytes GuestLib accepted so far
+};
+
+// Listens on `port` at rig.server and has rig.client send `bytes` of pattern
+// data there, resuming on writable until GuestLib took all of it. Replaces
+// both GuestLibs' event handlers; `t` must outlive the run.
+void send_unread(nk_pair& rig, std::uint16_t port, std::size_t bytes,
+                 unread_transfer& t) {
+  auto& glib_s = *rig.server.glib;
+  auto& glib_c = *rig.client.glib;
+  const auto lfd = glib_s.nk_socket().value();
+  ASSERT_TRUE(glib_s.nk_bind(lfd, port).ok());
+  ASSERT_TRUE(glib_s.nk_listen(lfd).ok());
+  glib_s.set_event_handler(
+      [&glib_s, &t, lfd](std::uint32_t fd, stack::socket_event_type ev, errc) {
+        if (fd == lfd && ev == stack::socket_event_type::accept_ready) {
+          t.server_fd = glib_s.nk_accept(lfd).value();
+        }
+      });
+  const auto cfd = glib_c.nk_socket().value();
+  glib_c.set_event_handler([&glib_c, &t, cfd, bytes](
+                               std::uint32_t fd, stack::socket_event_type ev,
+                               errc) {
+    if (fd != cfd || (ev != stack::socket_event_type::connected &&
+                      ev != stack::socket_event_type::writable)) {
+      return;
+    }
+    while (t.sent < bytes) {
+      auto r = glib_c.nk_send(cfd, buffer::pattern(bytes - t.sent, t.sent));
+      if (!r) return;
+      t.sent += r.value();
+    }
+  });
+  ASSERT_TRUE(
+      glib_c.nk_connect(cfd, {rig.server.module->config().address, port})
+          .ok());
+}
+
+// GuestLib returns a consumed receive chunk by freeing it into the shared
+// pool when the vcpu's copy-out completes; no nqe carries it back. Closing
+// with unread data returns every buffered chunk the same way.
+TEST(chunk_return, consumed_chunks_go_straight_back_to_the_pool) {
+  nk_pair rig;
+  rig.bed.run_for(milliseconds(1));
+  auto& glib = *rig.server.glib;
+  channel* ch = rig.bed.netkernel(side::b).channel_of(rig.server.vm->id());
+  ASSERT_NE(ch, nullptr);
+  const std::size_t idle_free = ch->pool.chunks_free();
+  ASSERT_EQ(idle_free, ch->pool.chunk_count());
+
+  constexpr std::size_t bytes = 64 * 1024;
+  unread_transfer t;
+  send_unread(rig, 7100, bytes, t);
+  rig.bed.run_for(milliseconds(20));
+  ASSERT_NE(t.server_fd, 0u);
+  ASSERT_EQ(glib.recv_available(t.server_fd), bytes);
+  const std::size_t held = idle_free - ch->pool.chunks_free();
+  ASSERT_GT(held, 1u);
+  const std::uint64_t nqes = ch->nqes_vm_to_nsm();
+
+  // The head chunk is only partly read: nothing comes back yet.
+  ASSERT_TRUE(glib.nk_recv(t.server_fd, 1).ok());
+  rig.bed.run_for(milliseconds(1));
+  EXPECT_EQ(ch->pool.chunks_free(), idle_free - held);
+
+  // Read the rest. The chunks stay held while the vcpu copies them out...
+  auto rest = glib.nk_recv(t.server_fd, 1 << 20);
+  ASSERT_TRUE(rest.ok());
+  EXPECT_EQ(rest.value().size(), bytes - 1);
+  EXPECT_TRUE(rest.value().matches_pattern(1));
+  EXPECT_EQ(ch->pool.chunks_free(), idle_free - held);
+  // ...and are all free once it is done, with no nqe sent for them.
+  rig.bed.run_for(milliseconds(1));
+  EXPECT_EQ(ch->pool.chunks_free(), idle_free);
+  EXPECT_EQ(ch->nqes_vm_to_nsm(), nqes);
+
+  // Close with data unread: every buffered chunk returns, and the
+  // req_close is the only nqe the close sends.
+  unread_transfer t2;
+  send_unread(rig, 7101, bytes, t2);
+  rig.bed.run_for(milliseconds(20));
+  ASSERT_NE(t2.server_fd, 0u);
+  ASSERT_EQ(glib.recv_available(t2.server_fd), bytes);
+  ASSERT_LT(ch->pool.chunks_free(), idle_free);
+  const std::uint64_t before_close = ch->nqes_vm_to_nsm();
+  ASSERT_TRUE(glib.nk_close(t2.server_fd).ok());
+  rig.bed.run_for(milliseconds(1));
+  EXPECT_EQ(ch->pool.chunks_free(), idle_free);
+  EXPECT_EQ(ch->nqes_vm_to_nsm(), before_close + 1);
+  EXPECT_EQ(rig.bed.netkernel(side::b).audit().violations(), "");
+}
+
+// Under batched_interrupt nothing polls ServiceLib: a read parked on an
+// exhausted pool resumes only because the guest's free finds the channel's
+// chunk_doorbell mark set and rings ServiceLib through CoreEngine.
+TEST(chunk_return, batched_interrupt_doorbell_resumes_reads_parked_for_chunks) {
+  nk_pair rig{tcp::cc_algorithm::cubic, 1, [](apps::testbed_params& p) {
+                p.netkernel.notification.kind =
+                    notify_config::mode::batched_interrupt;
+                // 8 chunks of 8 KiB per channel.
+                p.netkernel.channel.hugepages.page_size = 64 * 1024;
+                p.netkernel.channel.hugepages.page_count = 1;
+              }};
+  constexpr std::size_t bytes = 256 * 1024;
+  unread_transfer t;
+  send_unread(rig, 7200, bytes, t);
+  rig.bed.run_for(milliseconds(50));
+
+  // Every chunk sits unread in the guest; the rest of the stream waits in
+  // the receiving stack, and ServiceLib's reads are parked for a chunk.
+  channel* ch = rig.bed.netkernel(side::b).channel_of(rig.server.vm->id());
+  const service_lib* rx =
+      rig.bed.netkernel(side::b).service_of(rig.server.module->id());
+  ASSERT_NE(t.server_fd, 0u);
+  ASSERT_EQ(t.sent, bytes);
+  EXPECT_EQ(ch->pool.chunks_free(), 0u);
+  EXPECT_GT(rx->stats().chunk_stalls, 0u);
+  EXPECT_TRUE(ch->chunk_doorbell);
+
+  auto& glib = *rig.server.glib;
+  std::size_t got = 0;
+  bool pattern_ok = true;
+  const auto read_all = [&] {
+    while (auto r = glib.nk_recv(t.server_fd, 1 << 20)) {
+      pattern_ok = pattern_ok && r.value().matches_pattern(got);
+      got += r.value().size();
+    }
+  };
+  glib.set_event_handler(
+      [&](std::uint32_t fd, stack::socket_event_type ev, errc) {
+        if (fd == t.server_fd && ev == stack::socket_event_type::readable) {
+          read_all();
+        }
+      });
+  read_all();
+  rig.bed.run_for(milliseconds(100));
+
+  EXPECT_EQ(got, bytes);
+  EXPECT_TRUE(pattern_ok);
+  EXPECT_EQ(ch->pool.chunks_free(), ch->pool.chunk_count());
+  for (const side end : {side::a, side::b}) {
+    EXPECT_EQ(rig.bed.netkernel(end).audit().violations(), "");
+  }
+}
+
+// A read takes its chunk before it pulls bytes out of the stack. Under
+// injected exhaustion (hugepage_pool::set_exhausted) the allocation fails
+// with free chunks left; the read parks like a chunk stall instead of
+// dropping bytes it already took from the stream.
+TEST(chunk_return, injected_exhaustion_parks_reads_without_losing_bytes) {
+  nk_pair rig;
+  rig.bed.run_for(milliseconds(1));
+  channel* ch = rig.bed.netkernel(side::b).channel_of(rig.server.vm->id());
+  ch->pool.set_exhausted(true);
+  constexpr std::size_t bytes = 64 * 1024;
+  unread_transfer t;
+  send_unread(rig, 7400, bytes, t);
+  rig.bed.run_for(milliseconds(5));
+  ASSERT_NE(t.server_fd, 0u);
+  auto& glib = *rig.server.glib;
+  EXPECT_EQ(glib.recv_available(t.server_fd), 0u);
+  EXPECT_GT(rig.bed.netkernel(side::b)
+                .service_of(rig.server.module->id())
+                ->stats()
+                .chunk_stalls,
+            0u);
+
+  ch->pool.set_exhausted(false);
+  rig.bed.run_for(milliseconds(5));
+  auto r = glib.nk_recv(t.server_fd, 1 << 20);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value().size(), bytes);
+  EXPECT_TRUE(r.value().matches_pattern(0));
+}
+
+// A receiving guest whose GuestLib stops draining (its vcpus descheduled)
+// backs ev_data up into CoreEngine's to-VM stage. The reverse pump's pop
+// gate counts the nqes it already queued on the shard core, so the stage
+// fills to exactly overflow_limit and refuses nothing: the ev_data wait in
+// the NSM rings instead, where ServiceLib sees the pressure and stalls.
+// 512-byte chunks make ServiceLib refill its depth-8 ring between engine
+// polls, so pops come in bursts of up to 8 that need not land on the limit
+// (at 63, a gate blind to committed nqes refused 2 ev_data in this run).
+TEST(netkernel_backpressure, engine_stage_stops_at_its_limit_without_refusing) {
+  nk_pair rig{tcp::cc_algorithm::cubic, 3, [](apps::testbed_params& p) {
+                p.netkernel.channel.queues.depth = 8;
+                p.netkernel.overflow_limit = 63;
+                p.netkernel.channel.hugepages.chunk_size = 512;
+              }};
+  rig.bed.run_for(milliseconds(1));
+  unread_transfer t;
+  send_unread(rig, 7300, 1024 * 1024, t);
+  for (int i = 0; i < 1000 && t.server_fd == 0; ++i) {
+    rig.bed.run_for(microseconds(1));
+  }
+  ASSERT_NE(t.server_fd, 0u);
+  rig.server.glib->stop();
+  rig.bed.run_for(milliseconds(20));
+
+  core_engine& rx = rig.bed.netkernel(side::b);
+  const std::string vm = "vm" + std::to_string(rig.server.vm->id());
+  EXPECT_GT(rx.stats().nqes_deferred, 0u);
+  EXPECT_EQ(rx.metrics().value_of(vm + "_staged_to_vm").value_or(0.0), 63.0);
+  EXPECT_EQ(rx.stats().nqes_dropped, 0u);
+  EXPECT_GT(rx.service_of(rig.server.module->id())->stats().queue_stalls, 0u);
+}
+
 // A lossy two-host bulk run with every nqe traced. The wire drops packets
 // from the seeded simulator rng, so the run really depends on its seed.
-// With `tiny_rings` every ring holds 8 nqes and every stage caps at 64, so
-// nqes also wait in overflow stages in front of full rings.
+// With tiny rings every ring holds 8 nqes and every stage caps at 64, so
+// nqes also wait in overflow stages in front of full rings. The slow reader
+// adds a receiving app that reads nothing for its first 20 ms: received
+// data backs up into ServiceLib, whose reads park until the app frees
+// chunks and CoreEngine drains the lane again.
+enum class bulk_input { default_rings, tiny_rings, slow_reader };
+
 std::array<std::string, 2> lossy_bulk_registries(std::uint64_t seed,
-                                                 bool tiny_rings) {
+                                                 bulk_input input) {
+  const bool tiny = input != bulk_input::default_rings;
   nk_pair rig{tcp::cc_algorithm::cubic, seed,
-              [tiny_rings](apps::testbed_params& p) {
+              [tiny, input](apps::testbed_params& p) {
                 p.wire.loss_rate = 0.01;
                 p.netkernel.trace.enabled = true;
                 p.netkernel.trace.max_active = 1 << 16;
-                if (tiny_rings) {
+                if (tiny) {
                   p.netkernel.channel.queues.depth = 8;
                   p.netkernel.overflow_limit = 64;
+                }
+                if (input == bulk_input::slow_reader) {
+                  // 256 chunks of 512 B: the paused app exhausts the pool,
+                  // and small chunks let ServiceLib copy faster than a
+                  // depth-8 ring drains.
+                  p.netkernel.channel.hugepages.page_size = 128 * 1024;
+                  p.netkernel.channel.hugepages.page_count = 1;
+                  p.netkernel.channel.hugepages.chunk_size = 512;
                 }
               }};
   apps::bulk_sink sink{*rig.server.api, 5001, /*validate=*/true};
@@ -1285,8 +1511,14 @@ std::array<std::string, 2> lossy_bulk_registries(std::uint64_t seed,
   apps::bulk_sender sender{
       *rig.client.api, {rig.server.module->config().address, 5001}, scfg};
   sender.start();
+  if (input == bulk_input::slow_reader) {
+    sink.pause();
+    rig.bed.run_for(milliseconds(20));
+    sink.resume();
+  }
   rig.bed.run_for(milliseconds(300));
   EXPECT_EQ(sender.flows_done(), 2);
+  EXPECT_EQ(sink.total_bytes(), 2u * scfg.bytes_per_flow);
   EXPECT_TRUE(sink.pattern_ok());
 
   std::array<std::string, 2> out;
@@ -1301,19 +1533,33 @@ std::array<std::string, 2> lossy_bulk_registries(std::uint64_t seed,
     out[end == side::a ? 0 : 1] = ce.metrics().to_json();
   }
   // The tiny rings must actually have staged nqes.
-  if (tiny_rings) {
+  if (tiny) {
     EXPECT_GT(deferred, 0.0);
+  }
+  if (input == bulk_input::slow_reader) {
+    // The receiving ServiceLib staged events in front of its full ring and
+    // parked reads on the exhausted pool and on its backed-up lane; they all
+    // resumed (every byte arrived above), and no event was refused.
+    const service_lib_stats& rx = rig.bed.netkernel(side::b)
+                                      .service_of(rig.server.module->id())
+                                      ->stats();
+    EXPECT_GT(rx.nqes_deferred, 0u);
+    EXPECT_GT(rx.chunk_stalls, 0u);
+    EXPECT_GT(rx.queue_stalls, 0u);
+    EXPECT_EQ(rx.nqes_dropped, 0u);
   }
   return out;
 }
 
 TEST(determinism, same_seed_gives_byte_identical_registries) {
-  for (const bool tiny_rings : {false, true}) {
-    SCOPED_TRACE(tiny_rings ? "depth-8 rings" : "default rings");
-    const auto first = lossy_bulk_registries(5, tiny_rings);
-    const auto again = lossy_bulk_registries(5, tiny_rings);
+  for (const bulk_input input : {bulk_input::default_rings,
+                                 bulk_input::tiny_rings,
+                                 bulk_input::slow_reader}) {
+    SCOPED_TRACE(static_cast<int>(input));
+    const auto first = lossy_bulk_registries(5, input);
+    const auto again = lossy_bulk_registries(5, input);
     EXPECT_TRUE(first == again) << "same seed, different registry JSON";
-    const auto other = lossy_bulk_registries(6, tiny_rings);
+    const auto other = lossy_bulk_registries(6, input);
     EXPECT_TRUE(first != other) << "registry JSON does not depend on the seed";
   }
 }

@@ -386,7 +386,6 @@ TEST(nqe_queue, space_approx_follows_data_ring) {
 TEST(nqe, only_pure_data_is_droppable_on_overflow) {
   EXPECT_TRUE(droppable_on_overflow(nqe_op::ev_data));
   EXPECT_TRUE(droppable_on_overflow(nqe_op::ev_udp_data));
-  EXPECT_TRUE(droppable_on_overflow(nqe_op::req_recv_window));
   // Lifecycle and credit-bearing nqes must never be discarded: a lost
   // cmp_socket or cmp_send strands a flow permanently.
   EXPECT_FALSE(droppable_on_overflow(nqe_op::cmp_socket));
@@ -398,8 +397,7 @@ TEST(nqe, only_pure_data_is_droppable_on_overflow) {
 
 TEST(nqe, chunk_carriers_are_exactly_the_descriptor_ops) {
   for (const nqe_op op : {nqe_op::req_send, nqe_op::req_udp_send,
-                          nqe_op::req_recv_window, nqe_op::ev_data,
-                          nqe_op::ev_udp_data}) {
+                          nqe_op::ev_data, nqe_op::ev_udp_data}) {
     EXPECT_TRUE(carries_chunk(op)) << to_string(op);
   }
   for (const nqe_op op : {nqe_op::invalid, nqe_op::req_socket,
@@ -470,18 +468,18 @@ TEST(lane_stage, cap_refuses_only_droppable_ops) {
               lane_stage::outcome::staged);
   }
   // At the cap: pure data is refused...
-  for (const nqe_op op :
-       {nqe_op::ev_data, nqe_op::ev_udp_data, nqe_op::req_recv_window}) {
+  for (const nqe_op op : {nqe_op::ev_data, nqe_op::ev_udp_data}) {
     EXPECT_EQ(stage.push(tagged(op, 50)), lane_stage::outcome::refused)
         << to_string(op);
   }
-  // ...while lifecycle and credit nqes keep staging past it.
-  for (const nqe_op op :
-       {nqe_op::cmp_socket, nqe_op::cmp_send, nqe_op::ev_error}) {
+  // ...while lifecycle and credit nqes, and every guest request, keep
+  // staging past it.
+  for (const nqe_op op : {nqe_op::cmp_socket, nqe_op::cmp_send,
+                          nqe_op::ev_error, nqe_op::req_send}) {
     EXPECT_EQ(stage.push(tagged(op, 60)), lane_stage::outcome::staged)
         << to_string(op);
   }
-  EXPECT_EQ(stage.size(), 7u);
+  EXPECT_EQ(stage.size(), 8u);
   EXPECT_EQ(stage.flush(), 0u);
 
   // Draining the ring lets the whole stage through in order, the refused
@@ -489,13 +487,13 @@ TEST(lane_stage, cap_refuses_only_droppable_ops) {
   nqe out;
   while (ring.pop(out)) {
   }
-  EXPECT_EQ(stage.flush(), 7u);
+  EXPECT_EQ(stage.flush(), 8u);
   std::vector<nqe_op> ops;
   while (ring.pop(out)) ops.push_back(out.op);
   EXPECT_EQ(ops, (std::vector<nqe_op>{nqe_op::ev_data, nqe_op::ev_data,
                                       nqe_op::ev_data, nqe_op::ev_data,
                                       nqe_op::cmp_socket, nqe_op::cmp_send,
-                                      nqe_op::ev_error}));
+                                      nqe_op::ev_error, nqe_op::req_send}));
 }
 
 TEST(lane_stage, teardown_hands_back_every_staged_nqe) {
