@@ -584,6 +584,7 @@ void connection::maybe_send() {
     ack_pending_ = false;
     if (cb_.emit) cb_.emit(encode(p));
     ++stats_.packets_sent;
+    ++stats_.pure_acks_sent;
   }
 
   if (sent_any || !sent_packets_.empty()) arm_pto();
@@ -701,6 +702,7 @@ obs::nk_flow_info connection::flow_info() const {
   fi.bytes_out = stats_.bytes_sent;
   fi.segments_in = stats_.packets_received;
   fi.segments_out = stats_.packets_sent;
+  fi.pure_acks_out = stats_.pure_acks_sent;
   fi.sndbuf_bytes = send_chain_.size();
   fi.sndbuf_capacity = cfg_.send_buffer;
   fi.rcvbuf_bytes = recv_chain_.size();

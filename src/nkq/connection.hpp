@@ -60,6 +60,7 @@ enum class conn_state : std::uint8_t { connecting, established, closed };
 struct connection_stats {
   std::uint64_t packets_sent = 0;
   std::uint64_t packets_received = 0;
+  std::uint64_t pure_acks_sent = 0;  // bare ACK packets, in packets_sent
   std::uint64_t bytes_sent = 0;      // stream payload
   std::uint64_t bytes_received = 0;  // stream payload accepted in order
   std::uint64_t retransmits = 0;     // lost ranges requeued (pn + PTO)

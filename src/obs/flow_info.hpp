@@ -52,6 +52,7 @@ struct nk_flow_info {
   std::uint64_t bytes_out = 0;
   std::uint64_t segments_in = 0;
   std::uint64_t segments_out = 0;
+  std::uint64_t pure_acks_out = 0;  // ACK-only, counted in segments_out too
 
   // Buffer occupancy (unacked+unsent vs capacity; undrained receive data).
   std::uint64_t sndbuf_bytes = 0;
@@ -74,6 +75,7 @@ struct nk_flow_info {
        << ",\"bytes_in\":" << bytes_in << ",\"bytes_out\":" << bytes_out
        << ",\"segments_in\":" << segments_in
        << ",\"segments_out\":" << segments_out
+       << ",\"pure_acks_out\":" << pure_acks_out
        << ",\"sndbuf_bytes\":" << sndbuf_bytes
        << ",\"sndbuf_capacity\":" << sndbuf_capacity
        << ",\"rcvbuf_bytes\":" << rcvbuf_bytes

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <stdexcept>
 
 #include "obs/profiler.hpp"
 #include "tcp/seq.hpp"
@@ -35,6 +36,11 @@ tcb::tcb(environment env, tcp_config cfg, net::four_tuple tuple,
       rtt_{cfg.rto},
       iss_{initial_seq},
       ecn_requested_{false} {
+  if (cfg_.delayed_ack_timeout >= cfg_.rto.min_rto) {
+    throw std::invalid_argument(
+        "tcp delayed_ack_timeout must be below rto.min_rto, or a peer's RTO "
+        "fires before an unanswered request is ACKed");
+  }
   ecn_requested_ = cc_->wants_ecn();
   assert(env_.sim != nullptr && env_.emit);
 }
@@ -103,9 +109,10 @@ void tcb::emit_segment(net::packet p) {
 void tcb::send_control(net::tcp_flags flags) {
   if (ecn_enabled_ && ece_pending_ && flags.ack) flags.ece = true;
   emit_segment(make_segment(snd_nxt_, flags, {}));
+  ++stats_.pure_acks_sent;
   if (flags.ack) {
     last_adv_wnd_ = advertised_window();
-    pending_ack_segments_ = 0;
+    rcv_acked_ = rcv_nxt_;
     delack_timer_.cancel();
   }
 }
@@ -241,12 +248,20 @@ void tcb::transmit_range(std::uint64_t start, std::uint64_t end, bool rtx) {
     stats_.bytes_retransmitted += payload.size();
   } else {
     stats_.bytes_sent += payload.size();
+    // Linux's tcp_event_data_sent: fresh data this soon after the peer's is
+    // an answer, so later requests are ACKed by their answers.
+    if (!payload.empty() && stats_.bytes_received > 0 &&
+        env_.sim->now() - last_data_rx_ < cfg_.delayed_ack_timeout) {
+      pingpong_ = true;
+    }
   }
 
   emit_segment(make_segment(start, flags, std::move(payload)));
   if (flags.ack) {
     last_adv_wnd_ = advertised_window();
-    pending_ack_segments_ = 0;
+    // A segment that settles an owed ACK has echoed any CE behind it.
+    if (rcv_nxt_ > rcv_acked_) ece_pending_ = false;
+    rcv_acked_ = rcv_nxt_;
     delack_timer_.cancel();
   }
 
@@ -422,14 +437,21 @@ void tcb::send_ack_now() {
 }
 
 void tcb::maybe_send_ack(bool immediate) {
-  ++pending_ack_segments_;
-  if (immediate || pending_ack_segments_ >= cfg_.ack_every_segments) {
+  // Linux's __tcp_ack_snd_check: the delayed ACK is due once more than
+  // ack_every_segments - 1 full segments' worth is unacknowledged, so small
+  // pipelined requests do not force one ACK per pair.
+  const std::uint64_t owed = rcv_nxt_ - rcv_acked_;
+  const std::uint64_t due = std::uint64_t{cfg_.ack_every_segments} * cfg_.mss;
+  if (immediate || owed + cfg_.mss > due) {
     send_ack_now();
     return;
   }
   if (!delack_timer_.pending()) {
-    delack_timer_ = env_.sim->schedule(cfg_.delayed_ack_timeout,
-                                       [this] { send_ack_now(); });
+    // Unanswered in time: ACK bare and stop waiting for replies.
+    delack_timer_ = env_.sim->schedule(cfg_.delayed_ack_timeout, [this] {
+      pingpong_ = false;
+      send_ack_now();
+    });
   }
 }
 
@@ -469,7 +491,8 @@ void tcb::handle_payload(const net::packet& p, std::uint64_t seg_abs) {
 
   bool delivered_data = false;
   if (!p.payload.empty()) {
-    const bool out_of_order = payload_abs != rcv_nxt_;
+    // Beyond a hole or filling one: the sender is recovering, so ACK at once.
+    const bool out_of_order = payload_abs != rcv_nxt_ || !reasm_.empty();
     const std::uint64_t before = rcv_nxt_;
     buffer_chain ready = reasm_.insert(payload_abs, p.payload, rcv_nxt_);
     const std::uint64_t advanced = rcv_nxt_ - before;
@@ -477,8 +500,11 @@ void tcb::handle_payload(const net::packet& p, std::uint64_t seg_abs) {
       stats_.bytes_received += advanced;
       recvq_.append(std::move(ready));
       delivered_data = true;
+      last_data_rx_ = env_.sim->now();
     }
-    maybe_send_ack(out_of_order || h.flags.psh || h.flags.fin);
+    // Every data segment carries PSH; in pingpong its ACK rides the reply.
+    maybe_send_ack(out_of_order || h.flags.fin ||
+                   (h.flags.psh && !pingpong_));
   }
 
   if (h.flags.fin) {
@@ -895,6 +921,7 @@ obs::nk_flow_info tcb::flow_info() const {
   fi.bytes_out = stats_.bytes_sent;
   fi.segments_in = stats_.segments_received;
   fi.segments_out = stats_.segments_sent;
+  fi.pure_acks_out = stats_.pure_acks_sent;
   fi.sndbuf_bytes = sendq_.size();
   fi.sndbuf_capacity = cfg_.send_buffer;
   fi.rcvbuf_bytes = recvq_.size();

@@ -2,11 +2,11 @@
 //
 // One tcb is one connection: handshake, ordered reliable byte stream with
 // flow control, NewReno loss recovery (fast retransmit / partial ACKs),
-// RFC 6298 RTO, delayed ACKs, optional Nagle, optional pacing (driven by
-// the congestion controller, e.g. BBR), ECN feedback for DCTCP, and full
-// close/TIME_WAIT handling. Sequence tracking is in absolute 64-bit stream
-// offsets (0 = SYN, 1 = first data byte); the wire carries 32-bit sequence
-// numbers via tcp/seq.hpp.
+// RFC 6298 RTO, delayed ACKs with Linux's interactive ("pingpong") mode,
+// optional Nagle, optional pacing (driven by the congestion controller, e.g.
+// BBR), ECN feedback for DCTCP, and full close/TIME_WAIT handling. Sequence
+// tracking is in absolute 64-bit stream offsets (0 = SYN, 1 = first data
+// byte); the wire carries 32-bit sequence numbers via tcp/seq.hpp.
 //
 // The tcb is transport only: demultiplexing, port allocation and listener
 // sockets live in stack/netstack.hpp.
@@ -51,6 +51,9 @@ struct tcp_config {
   cc_algorithm cc = cc_algorithm::cubic;
   bool nagle = false;  // bulk/RPC workloads here want it off
   sim_time delayed_ack_timeout = milliseconds(25);
+  // A delayed ACK goes out once more than ack_every_segments - 1 full
+  // segments' worth of data awaits it. Only pingpong mode delays ACKs;
+  // outside it every data segment carries PSH and is ACKed at once.
   std::uint32_t ack_every_segments = 2;
   sim_time time_wait_duration = milliseconds(500);
   int max_syn_retries = 6;
@@ -64,6 +67,7 @@ struct tcp_stats {
   std::uint64_t bytes_received = 0;   // delivered to the app-side buffer
   std::uint64_t segments_sent = 0;
   std::uint64_t segments_received = 0;
+  std::uint64_t pure_acks_sent = 0;   // ACK-only segments (no data/SYN/FIN)
   std::uint64_t fast_retransmits = 0;
   std::uint64_t rtos = 0;
   std::uint64_t dup_acks_received = 0;
@@ -86,6 +90,9 @@ class tcb {
     std::function<void(errc)> on_closed;         // fully closed / reset / timeout
   };
 
+  // Throws std::invalid_argument unless cfg.delayed_ack_timeout is below
+  // cfg.rto.min_rto: in pingpong mode an unanswered request waits out the
+  // delayed-ACK timer, and the peer's RTO must not fire first.
   tcb(environment env, tcp_config cfg, net::four_tuple tuple,
       std::uint32_t initial_seq);
   ~tcb();
@@ -238,7 +245,13 @@ class tcb {
   std::uint64_t fin_abs_ = 0;
   bool fin_delivered_ = false;      // EOF observed by the application
   std::uint32_t last_adv_wnd_ = 0;
-  std::uint32_t pending_ack_segments_ = 0;
+  std::uint64_t rcv_acked_ = 0;     // rcv_nxt_ as of our last ACK
+  // Interactive mode (Linux inet_csk_enter_pingpong_mode): entered when we
+  // send new data within delayed_ack_timeout of the last in-order data
+  // receipt, so a PSH segment's ACK waits for the reply that carries it;
+  // left when the delayed-ACK timer fires unanswered.
+  bool pingpong_ = false;
+  sim_time last_data_rx_{};  // last in-order data receipt
   std::uint32_t last_ts_val_ = 0;   // peer timestamp to echo
   // Rotating window over held ranges; presentation state only, advanced
   // even when composing segments (hence mutable in const make_segment).

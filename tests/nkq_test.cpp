@@ -177,6 +177,7 @@ TEST(nkq_e2e, lossy_pulses_bulk_transfer_recovers_all_bytes) {
   chaos.arm();
 
   std::uint64_t retransmits = 0;
+  obs::nk_flow_info receiver;  // the rx row that has sent the most packets
   for (int i = 0; i < 3000 && sink.flows_finished() < 2; ++i) {
     bed.run_for(milliseconds(1));
     // Sample mid-flight: rows vanish once flows close.
@@ -185,12 +186,23 @@ TEST(nkq_e2e, lossy_pulses_bulk_transfer_recovers_all_bytes) {
         retransmits = std::max(retransmits, row.info.retransmits);
       }
     }
+    for (const auto& row : bed.netkernel(side::b).flow_table()) {
+      if (row.transport == "nkq" &&
+          row.info.segments_out > receiver.segments_out) {
+        receiver = row.info;
+      }
+    }
   }
 
   EXPECT_EQ(sink.flows_finished(), 2u);
   EXPECT_EQ(sink.total_bytes(), 2u * (16u << 20));
   EXPECT_TRUE(sink.pattern_ok()) << "corruption under loss recovery";
   EXPECT_GT(retransmits, 0u) << "pulses at 5% loss must cost retransmits";
+  // The receiver of a one-way stream writes nothing, so its bare ACKs are
+  // most of what it sends.
+  EXPECT_GT(receiver.pure_acks_out, 0u);
+  EXPECT_LE(receiver.pure_acks_out, receiver.segments_out);
+  EXPECT_GT(receiver.pure_acks_out * 2, receiver.segments_out);
 }
 
 // 0-RTT: the second connection to the same server presents the cached

@@ -167,6 +167,7 @@ TEST(netstack_cpu, tx_cost_serializes_on_core) {
   netstack_config cfg_a;
   cfg_a.name = "a";
   cfg_a.tcp.rto.min_rto = milliseconds(5);
+  cfg_a.tcp.delayed_ack_timeout = milliseconds(1);  // must stay below min_rto
   cfg_a.tx_cost = processing_cost{microseconds(10), 0.0};  // brutal per-pkt
   netstack a{s, cfg_a, net::ipv4_addr::from_octets(10, 0, 0, 1)};
   netstack b{s, netstack_config{.name = "b"},

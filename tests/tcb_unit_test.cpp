@@ -1,13 +1,16 @@
 // White-box tcb tests: a single TCP control block driven with hand-crafted
 // segments, no stack or network below it. Covers wire-level behaviours the
 // loopback tests cannot isolate: exact flags, ECN negotiation bits, Karn's
-// rule, zero-window probes, simultaneous close, timestamp echo.
+// rule, zero-window probes, simultaneous close, timestamp echo, and the
+// delayed-ACK pingpong mode of request/response connections.
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <stdexcept>
 
 #include "tcp/seq.hpp"
 #include "tcp/tcb.hpp"
+#include "util/loopback.hpp"
 
 namespace nk::tcp {
 namespace {
@@ -62,8 +65,9 @@ struct tcb_harness {
     return p;
   }
 
-  // Completes the three-way handshake as the active opener.
-  void establish() {
+  // Completes the three-way handshake as the active opener; `peer_ecn`
+  // has the SYN-ACK confirm ECN.
+  void establish(bool peer_ecn = false) {
     conn->connect();
     sim.run_until(sim.now() + microseconds(10));
     ASSERT_FALSE(sent.empty());
@@ -72,13 +76,14 @@ struct tcb_harness {
     net::tcp_flags synack;
     synack.syn = true;
     synack.ack = true;
+    synack.ece = peer_ecn;
     conn->segment_arrived(peer_segment(0, 1, synack));
     sim.run_until(sim.now() + microseconds(10));
     ASSERT_TRUE(connected);
     sent.clear();
   }
 
-  net::packet last_sent() { return sent.back(); }
+  const net::packet& last_sent() const { return sent.back(); }
 
   sim::simulator sim;
   std::unique_ptr<tcb> conn;
@@ -331,6 +336,271 @@ TEST(tcb_buffers, send_after_shutdown_rejected) {
   h.establish();
   h.conn->shutdown_write();
   EXPECT_EQ(h.conn->send(buffer::pattern(10, 0)).error(), errc::closed);
+}
+
+// --- delayed-ACK pingpong mode -------------------------------------------
+
+// The harness tcb as an echo server's end of a request/response connection.
+// Requests carry PSH, as every data segment a tcb sends does, and ACK all
+// of the replies so far.
+struct echo_rig {
+  explicit echo_rig(tcp_config cfg = tcb_harness::make_cfg(),
+                    bool peer_ecn = false)
+      : h{cfg} {
+    h.establish(peer_ecn);
+  }
+
+  net::packet request(std::size_t n = 64) {
+    net::tcp_flags f;
+    f.ack = true;
+    f.psh = true;
+    auto seg = h.peer_segment(peer_next, 1 + replied, f,
+                              buffer::pattern(n, peer_next));
+    peer_next += n;
+    return seg;
+  }
+  void deliver(const net::packet& seg) { h.conn->segment_arrived(seg); }
+
+  // The app reads everything that arrived and echoes it `think` later.
+  void reply_after(sim_time think) {
+    h.sim.run_until(h.sim.now() + think);
+    buffer in = h.conn->receive(1 << 20);
+    const std::size_t n = in.size();
+    ASSERT_EQ(h.conn->send(std::move(in)).value(), n);
+    replied += n;
+  }
+
+  // One answered request; the first one puts the tcb in pingpong mode.
+  void exchange() {
+    deliver(request());
+    reply_after(microseconds(3));
+  }
+
+  [[nodiscard]] std::uint32_t acked_peer() const {
+    return wrap_seq(peer_next, peer_isn);
+  }
+
+  tcb_harness h;
+  std::uint64_t peer_next = 1;  // next peer stream offset
+  std::uint64_t replied = 0;    // bytes echoed so far
+};
+
+TEST(tcb_ack, answered_requests_cost_two_segments_and_no_pure_ack) {
+  echo_rig r;
+  // No reply seen yet: the first request is ACKed at once, as today.
+  r.deliver(r.request());
+  ASSERT_EQ(r.h.sent.size(), 1u);
+  EXPECT_TRUE(r.h.last_sent().payload.empty());
+  r.reply_after(microseconds(3));
+  r.h.sent.clear();
+
+  const tcp_stats before = r.h.conn->stats();
+  constexpr std::uint64_t rounds = 50;
+  for (std::uint64_t i = 0; i < rounds; ++i) {
+    r.deliver(r.request());
+    EXPECT_TRUE(r.h.sent.empty()) << "request " << i << " was ACKed bare";
+    r.reply_after(microseconds(3));
+    ASSERT_EQ(r.h.sent.size(), 1u);
+    EXPECT_EQ(r.h.last_sent().payload.size(), 64u);
+    EXPECT_TRUE(r.h.last_sent().tcp().flags.ack);
+    EXPECT_EQ(r.h.last_sent().tcp().ack, r.acked_peer());
+    r.h.sent.clear();
+  }
+  // Two segments per exchange: the request in and the reply out.
+  const tcp_stats& after = r.h.conn->stats();
+  EXPECT_EQ(after.segments_received - before.segments_received, rounds);
+  EXPECT_EQ(after.segments_sent - before.segments_sent, rounds);
+  EXPECT_EQ(after.pure_acks_sent, before.pure_acks_sent);
+  EXPECT_EQ(r.h.conn->flow_info().pure_acks_out, after.pure_acks_sent);
+}
+
+TEST(tcb_ack, pingpong_acks_once_more_than_a_full_segment_waits) {
+  echo_rig r;
+  r.exchange();
+  r.h.sent.clear();
+  // Pipelined 64 B requests, unanswered: no ACK while they fit in one MSS.
+  ASSERT_EQ(r.h.conn->config().mss, 1000u);
+  for (int i = 0; i < 15; ++i) r.deliver(r.request(64));  // 960 B
+  EXPECT_TRUE(r.h.sent.empty());
+  r.deliver(r.request(64));  // 1024 B owed
+  ASSERT_EQ(r.h.sent.size(), 1u);
+  EXPECT_TRUE(r.h.last_sent().payload.empty());
+  EXPECT_EQ(r.h.last_sent().tcp().ack, r.acked_peer());
+}
+
+TEST(tcb_ack, one_way_psh_stream_acks_every_segment_at_once) {
+  tcb_harness h;
+  h.establish();
+  const std::uint64_t before = h.conn->stats().pure_acks_sent;
+  net::tcp_flags f;
+  f.ack = true;
+  f.psh = true;
+  std::uint64_t seq = 1;
+  constexpr std::uint64_t segments = 20;
+  for (std::uint64_t i = 0; i < segments; ++i) {
+    h.conn->segment_arrived(
+        h.peer_segment(seq, 1, f, buffer::pattern(1000, seq)));
+    seq += 1000;
+    ASSERT_EQ(h.sent.size(), 1u) << "segment " << i << " not ACKed at once";
+    EXPECT_TRUE(h.last_sent().payload.empty());
+    EXPECT_EQ(h.last_sent().tcp().ack, wrap_seq(seq, peer_isn));
+    h.sent.clear();
+    h.sim.run_until(h.sim.now() + microseconds(10));
+    EXPECT_EQ(h.conn->receive(1000).size(), 1000u);  // reads, never writes
+  }
+  EXPECT_EQ(h.conn->stats().pure_acks_sent - before, segments);
+}
+
+TEST(tcb_ack, unanswered_request_is_acked_at_the_timeout_and_ends_pingpong) {
+  echo_rig r;
+  r.exchange();
+  r.h.sent.clear();
+  r.deliver(r.request());
+  const sim_time t0 = r.h.sim.now();
+  const sim_time delack = r.h.conn->config().delayed_ack_timeout;
+  r.h.sim.run_until(t0 + delack - nanoseconds(1));
+  EXPECT_TRUE(r.h.sent.empty()) << "a pingpong request was ACKed early";
+  r.h.sim.run_until(t0 + delack);
+  ASSERT_EQ(r.h.sent.size(), 1u);
+  EXPECT_TRUE(r.h.last_sent().payload.empty());
+  EXPECT_EQ(r.h.last_sent().tcp().ack, r.acked_peer());
+  r.h.sent.clear();
+
+  // The app did not answer in time, so the next request is ACKed at once.
+  r.deliver(r.request());
+  ASSERT_EQ(r.h.sent.size(), 1u);
+  EXPECT_TRUE(r.h.last_sent().payload.empty());
+  EXPECT_EQ(r.h.last_sent().tcp().ack, r.acked_peer());
+}
+
+TEST(tcb_ack, out_of_order_and_fin_are_acked_at_once_in_pingpong) {
+  echo_rig r;
+  r.exchange();
+  r.h.sent.clear();
+  r.deliver(r.request());
+  ASSERT_TRUE(r.h.sent.empty()) << "not in pingpong";
+  r.reply_after(microseconds(3));
+  r.h.sent.clear();
+
+  // A segment beyond a hole: an immediate ACK with a SACK block.
+  const std::uint64_t hole = r.peer_next;
+  r.request();  // lost
+  r.deliver(r.request());
+  ASSERT_EQ(r.h.sent.size(), 1u);
+  EXPECT_TRUE(r.h.last_sent().payload.empty());
+  EXPECT_EQ(r.h.last_sent().tcp().ack, wrap_seq(hole, peer_isn));
+  EXPECT_GE(r.h.last_sent().tcp().sack_count, 1);
+  r.h.sent.clear();
+
+  // The retransmission that fills the hole is ACKed at once too.
+  net::tcp_flags f;
+  f.ack = true;
+  f.psh = true;
+  r.deliver(r.h.peer_segment(hole, 1 + r.replied, f,
+                             buffer::pattern(64, hole)));
+  ASSERT_EQ(r.h.sent.size(), 1u);
+  EXPECT_EQ(r.h.last_sent().tcp().ack, r.acked_peer());
+  r.h.sent.clear();
+
+  net::tcp_flags fin;
+  fin.ack = true;
+  fin.fin = true;
+  r.deliver(r.h.peer_segment(r.peer_next, 1 + r.replied, fin));
+  ASSERT_EQ(r.h.sent.size(), 1u);
+  EXPECT_EQ(r.h.last_sent().tcp().ack, wrap_seq(r.peer_next + 1, peer_isn));
+  EXPECT_EQ(r.h.conn->state(), tcp_state::close_wait);
+}
+
+TEST(tcb_ack, dctcp_ce_echo_rides_on_the_reply) {
+  tcp_config cfg = tcb_harness::make_cfg();
+  cfg.cc = cc_algorithm::dctcp;
+  echo_rig r{cfg, /*peer_ecn=*/true};
+  ASSERT_TRUE(r.h.conn->ecn_active());
+  r.exchange();
+  r.h.sent.clear();
+
+  net::packet marked = r.request();
+  marked.ip.ecn = net::ecn_codepoint::ce;
+  r.deliver(marked);
+  EXPECT_TRUE(r.h.sent.empty()) << "CE request was ACKed bare";
+  r.reply_after(microseconds(3));
+  ASSERT_EQ(r.h.sent.size(), 1u);
+  EXPECT_FALSE(r.h.last_sent().payload.empty());
+  EXPECT_TRUE(r.h.last_sent().tcp().flags.ece);
+  EXPECT_EQ(r.h.last_sent().tcp().ack, r.acked_peer());
+  r.h.sent.clear();
+
+  // The echo is owed once: the next unmarked request's reply clears ECE.
+  r.exchange();
+  ASSERT_EQ(r.h.sent.size(), 1u);
+  EXPECT_FALSE(r.h.last_sent().tcp().flags.ece);
+}
+
+TEST(tcb_ack, delayed_ack_timeout_must_stay_below_min_rto) {
+  tcp_config cfg = tcb_harness::make_cfg();
+  cfg.delayed_ack_timeout = cfg.rto.min_rto;
+  EXPECT_THROW({ tcb_harness h{cfg}; }, std::invalid_argument);
+  cfg.delayed_ack_timeout = cfg.rto.min_rto - nanoseconds(1);
+  EXPECT_NO_THROW({ tcb_harness h{cfg}; });
+}
+
+TEST(tcb_ack, pipelined_echo_over_lossy_link_delivers_every_byte_in_order) {
+  auto params = test::lan_params(7);
+  params.wire.loss_rate = 0.02;
+  test::loopback net{params};
+
+  const auto listener = net.b.tcp_listen(5001).value();
+  stack::socket_id server = 0;
+  net.b.set_event_handler([&](const stack::socket_event& ev) {
+    if (ev.type == stack::socket_event_type::accept_ready) {
+      server = net.b.accept(listener).value();
+      return;
+    }
+    if (ev.type != stack::socket_event_type::readable || ev.sock != server) {
+      return;
+    }
+    while (auto in = net.b.recv(server, 1 << 20)) {
+      const std::size_t n = in.value().size();
+      ASSERT_EQ(net.b.send(server, std::move(in).value()).value(), n);
+    }
+  });
+
+  // The client keeps `depth` requests of `size` bytes outstanding.
+  constexpr std::size_t size = 100;
+  constexpr std::size_t depth = 4;
+  constexpr std::uint64_t requests = 400;
+  constexpr std::uint64_t total = requests * size;
+  const auto client = net.a.tcp_connect(net.addr_b(5001)).value();
+  buffer_chain echoed;
+  std::uint64_t issued = 0;
+  auto issue = [&] {
+    while (issued < requests && issued * size < echoed.size() + depth * size) {
+      const auto r = net.a.send(client, buffer::pattern(size, issued * size));
+      ASSERT_EQ(r.value(), size);
+      ++issued;
+    }
+  };
+  net.a.set_event_handler([&](const stack::socket_event& ev) {
+    if (ev.sock != client) return;
+    if (ev.type == stack::socket_event_type::connected) issue();
+    if (ev.type != stack::socket_event_type::readable) return;
+    while (auto in = net.a.recv(client, 1 << 20)) {
+      echoed.append(std::move(in).value());
+    }
+    issue();
+  });
+  net.run_for(seconds(5));
+
+  ASSERT_EQ(echoed.size(), total);
+  EXPECT_TRUE(echoed.pop(total).matches_pattern(0));
+  const tcb* srv = net.b.tcb_of(server);
+  ASSERT_NE(srv, nullptr);
+  EXPECT_GT(srv->stats().bytes_retransmitted +
+                net.a.tcb_of(client)->stats().bytes_retransmitted,
+            0u)
+      << "the link lost nothing";
+  // Replies carried most of the server's ACKs.
+  EXPECT_LT(srv->stats().pure_acks_sent, requests / 4);
 }
 
 }  // namespace
